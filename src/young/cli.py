@@ -17,6 +17,7 @@ import sys
 import time
 
 from . import asymptotics, counting, experiments, sampling
+from .partitions import Partition
 
 
 def _log(msg: str) -> None:
@@ -135,9 +136,9 @@ def cmd_sample(args) -> int:
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
     if args.method == "exact":
         table = _load_table(args.n, args)
-        gen = stream.generator()
+        draw = sampling.make_sampler(args.n, stream, table)
         for _ in range(args.count):
-            p = sampling.sample_uniform_exact(args.n, gen, table)
+            p = Partition(draw())
             sys.stdout.write(json.dumps(p.to_json()) + "\n")
     else:
         draws, stats = sampling.sample_boltzmann_batch(args.n, stream, args.count)

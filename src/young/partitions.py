@@ -129,24 +129,6 @@ def dominates(mu, lam) -> bool:
     return True
 
 
-def _conjugate_prefix(parts: tuple[int, ...], upto: int) -> list[int]:
-    # prefix[i] = number of cells in the first i rows = sum_j min(parts_j, i)
-    counts = [0] * (upto + 2)
-    for part in parts:
-        counts[min(part, upto)] += 1
-    ge = 0  # parts >= i, computed by sweeping i downward
-    conj = [0] * (upto + 1)
-    for i in range(upto, 0, -1):
-        ge += counts[i]
-        conj[i] = ge
-    prefix = [0] * (upto + 1)
-    acc = 0
-    for i in range(1, upto + 1):
-        acc += conj[i]
-        prefix[i] = acc
-    return prefix
-
-
 def nash_williams_graphical(p) -> bool:
     """Graphicality via Durfee-limited comparison of a partition and its dual.
 
@@ -159,25 +141,20 @@ def nash_williams_graphical(p) -> bool:
 
 
 def _nash_williams(parts: tuple[int, ...]) -> bool:
-    total = 0
-    for x in parts:
-        total += x
-    if total % 2:
+    if sum(parts) & 1:
         return False
-    if not parts:
-        return True
-    # Durfee side
-    d = 0
+    # one pass over i up to the Durfee side; j = number of parts >= i, the
+    # i-th dual part, found by moving a pointer in from the end
+    j = len(parts)
+    acc = dual = 0
     for i, part in enumerate(parts, start=1):
-        if part >= i:
-            d = i
-        else:
+        if part < i:
             break
-    conj_prefix = _conjugate_prefix(parts, d)
-    acc = 0
-    for i in range(1, d + 1):
-        acc += parts[i - 1]
-        if conj_prefix[i] < acc + i:
+        while parts[j - 1] < i:
+            j -= 1
+        acc += part
+        dual += j
+        if dual < acc + i:
             return False
     return True
 

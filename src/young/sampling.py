@@ -1,6 +1,12 @@
 """Random generation: exact uniform partitions, Boltzmann rejection, and the
 exponential-sums surrogate for the extremities of a random diagram.
 
+An exact uniform partition of n is drawn by unranking: one uniform integer
+below p(n) is mapped to a partition through the cumulative count rows of a
+by-largest-part table (Nijenhuis and Wilf, Combinatorial Algorithms, ch. 10).
+The map is a bijection, so each draw costs one big-integer uniform and is
+exactly uniform with no rejection beyond that of the uniform itself.
+
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
 parallel without coordination.
@@ -69,12 +75,15 @@ class _ByteUniform:
                 return val
 
 
-def draw_uniform_parts(n: int, table: RestrictedCountTable, source: _ByteUniform) -> tuple[int, ...]:
-    """One exact-uniform partition of n as a raw tuple of parts.
+def _unrank(n: int, table: RestrictedCountTable, rank: int) -> tuple[int, ...]:
+    """The partition of n at `rank` (0 <= rank < p(n)) in increasing lex order.
 
-    Walks the largest part downward; each step bisects the cumulative count
-    row for the remaining weight, so no big-integer arithmetic happens per
-    step beyond one uniform draw and the comparisons inside the bisect.
+    Row v of the table holds, at index m, the number of partitions of v with
+    largest part at most m.  The largest part is the m with
+    row[m-1] <= rank < row[m]; the remainder rank - row[m-1] is then a rank
+    below row[m] - row[m-1], the number of partitions of v - m with parts at
+    most m, which is the next row's total.  Rank 0 is all ones and rank
+    p(n) - 1 is (n,).
     """
     parts = []
     v = n
@@ -83,16 +92,32 @@ def draw_uniform_parts(n: int, table: RestrictedCountTable, source: _ByteUniform
     while v:
         row = rows[v]
         hi = bound if bound < v else v
-        u = source.below(row[hi])
-        m = bisect_right(row, u, 1, hi + 1)
+        # a repeated part takes the top interval of the row
+        if rank >= row[hi - 1]:
+            m = hi
+        else:
+            m = bisect_right(row, rank, 1, hi)
+        if m == 1:
+            parts.extend([1] * v)
+            break
+        rank -= row[m - 1]
         parts.append(m)
         v -= m
         bound = m
     return tuple(parts)
 
 
+def draw_uniform_parts(n: int, table: RestrictedCountTable, source: _ByteUniform) -> tuple[int, ...]:
+    """One exact-uniform partition of n as a raw tuple of parts.
+
+    Draws a single uniform rank below p(n) and unranks it, so each draw makes
+    one big-integer uniform call however many parts the partition has.
+    """
+    return _unrank(n, table, source.below(table._data[n][n]))
+
+
 def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
-    """Exactly uniform partition of n via inverse CDF over exact counts."""
+    """Exactly uniform partition of n, unranked from one uniform rank below p(n)."""
     if table.mode != RestrictedCountTable.MODE_LARGEST:
         raise ValueError("table must be built in by-largest-part mode")
     if table.n_max < n:

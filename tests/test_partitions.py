@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from young.counting import count_partitions
+from young.counting import RestrictedCountTable, count_partitions
 from young.partitions import (
     DegreePair,
     Partition,
+    _nash_williams,
     conjugate,
     dominates,
     durfee,
@@ -16,6 +19,9 @@ from young.partitions import (
     partitions,
     partitions_with_largest,
 )
+from young.sampling import _unrank
+
+PROPERTY_N_MAX = 910
 
 
 def test_partition_validation():
@@ -142,6 +148,35 @@ def test_graphicality_trio_agrees_exhaustively():
             nw = nash_williams_graphical(parts)
             assert erdos_gallai_graphical(parts) == nw
             assert havel_hakimi_realizable(parts) == nw
+
+
+@pytest.fixture(scope="module")
+def table910():
+    return RestrictedCountTable.build(PROPERTY_N_MAX)
+
+
+def _ranked(data, table, count):
+    """`count` partitions of one n in [0, PROPERTY_N_MAX], each unranked from a
+    rank below p(n)."""
+    n = data.draw(st.integers(0, PROPERTY_N_MAX), label="n")
+    ranks = st.integers(0, count_partitions(n) - 1)
+    return [_unrank(n, table, data.draw(ranks, label="rank")) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_graphicality_trio_agrees_on_ranked_partitions(table910, data):
+    (parts,) = _ranked(data, table910, 1)
+    nw = _nash_williams(parts)
+    assert erdos_gallai_graphical(parts) == nw
+    assert havel_hakimi_realizable(parts) == nw
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conjugation_reverses_dominance_on_ranked_partitions(table910, data):
+    a, b = _ranked(data, table910, 2)
+    assert dominates(a, b) == dominates(conjugate(b), conjugate(a))
 
 
 def test_empty_partition_is_graphical():

@@ -7,9 +7,10 @@ from scipy import stats
 
 from young.asymptotics import C
 from young.counting import RestrictedCountTable, count_partitions
-from young.partitions import Partition
+from young.partitions import Partition, partitions
 from young.sampling import (
     RngStream,
+    _unrank,
     boltzmann_acceptance_rate,
     exponential_sums,
     make_sampler,
@@ -56,6 +57,15 @@ def test_exact_sampler_reproducible(table30):
     gen = RngStream(9, 3).generator()
     run2 = [sample_uniform_exact(20, gen, table30).parts for _ in range(10)]
     assert run1 == run2
+
+
+def test_unrank_is_a_bijection_onto_increasing_lex_order():
+    table = RestrictedCountTable.build(910)
+    for n in range(41):
+        ranked = [_unrank(n, table, r) for r in range(count_partitions(n))]
+        assert ranked == list(partitions(n))[::-1], n
+    assert _unrank(910, table, 0) == (1,) * 910
+    assert _unrank(910, table, count_partitions(910) - 1) == (910,)
 
 
 def test_exact_sampler_uniform_chi_square(table30):
