@@ -10,6 +10,8 @@ oracle.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import os
 import struct
 from dataclasses import dataclass
@@ -172,13 +174,17 @@ class RestrictedCountTable:
         exact sampler bisects.
       * "by-height-and-width": entry(n, r, s) = partitions with largest part
         <= r and at most s parts, stored as a dense int64 cube.
+
+    save/load keep one table per file, as a header and one bulk payload (see
+    the comment above save); load raises ValueError on a file of another
+    version or a damaged one.
     """
 
     MODE_LARGEST = "by-largest-part"
     MODE_BOX = "by-height-and-width"
 
     _MAGIC = b"YPTB"
-    _VERSION = 1
+    _VERSION = 2
     _HEADER = struct.Struct("<4sHBBQ")
 
     def __init__(self, mode: str, n_max: int, data):
@@ -224,67 +230,59 @@ class RestrictedCountTable:
             raise ValueError("rows exist only in by-largest-part mode")
         return self._data[v]
 
-    # binary cache: little-endian length-prefixed big-integer records after a
-    # fixed header (magic, version, mode, n_max)
+    # Cache file: a fixed header (magic, version, mode, n_max), then one bulk
+    # payload.  By-largest-part rows are marshal.dumps(rows); marshal builds
+    # only data and never runs code, and load() checks the shape and the type
+    # of every entry before use.  The box cube is raw little-endian int64.
 
     def save(self, path: str | os.PathLike) -> None:
-        mode_code = 1 if self.mode == self.MODE_LARGEST else 2
-        tmp = str(path) + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, mode_code, 0, self.n_max))
-            for value in self._iter_values():
-                raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-        os.replace(tmp, path)
-
-    def _iter_values(self):
+        """Write the table to path atomically, through a per-process temp file."""
         if self.mode == self.MODE_LARGEST:
-            for row in self._data:
-                yield from row
+            mode_code, payload = 1, marshal.dumps(self._data)
         else:
-            n1 = self.n_max + 1
-            flat = self._data.reshape(n1 * n1 * n1)
-            for value in flat.tolist():
-                yield value
+            mode_code, payload = 2, self._data.astype("<i8", copy=False).tobytes()
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, mode_code, 0, self.n_max))
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RestrictedCountTable":
+        """Read a table written by save; raise ValueError on any other content."""
         with open(path, "rb") as fh:
             header = fh.read(cls._HEADER.size)
+            if len(header) != cls._HEADER.size:
+                raise ValueError("cache file shorter than its header")
             magic, version, mode_code, _, n_max = cls._HEADER.unpack(header)
             if magic != cls._MAGIC:
                 raise ValueError("not a count-table cache file")
             if version != cls._VERSION:
                 raise ValueError(f"unsupported cache version {version}")
-            blob = fh.read()
-        values = _read_records(blob)
+            payload = fh.read()
         if mode_code == 1:
-            rows = []
-            pos = 0
-            for v in range(n_max + 1):
-                rows.append(values[pos:pos + v + 1])
-                pos += v + 1
-            if pos != len(values):
-                raise ValueError("cache file truncated or padded")
+            try:
+                rows = marshal.loads(payload)
+            except (EOFError, ValueError, TypeError) as exc:
+                raise ValueError(f"damaged cache payload: {exc}") from None
+            if type(rows) is not list or len(rows) != n_max + 1:
+                raise ValueError("cache file has the wrong number of rows")
+            for v, row in enumerate(rows):
+                if type(row) is not list or len(row) != v + 1 or set(map(type, row)) != {int}:
+                    raise ValueError(f"cache file row {v} is damaged")
             return cls(cls.MODE_LARGEST, n_max, rows)
-        n1 = n_max + 1
-        if len(values) != n1 ** 3:
-            raise ValueError("cache file truncated or padded")
-        cube = np.array(values, dtype=np.int64).reshape((n1, n1, n1))
-        return cls(cls.MODE_BOX, n_max, cube)
-
-
-def _read_records(blob: bytes) -> list[int]:
-    values = []
-    pos = 0
-    end = len(blob)
-    while pos < end:
-        (length,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        values.append(int.from_bytes(blob[pos:pos + length], "little"))
-        pos += length
-    return values
+        if mode_code == 2:
+            n1 = n_max + 1
+            if len(payload) != n1 ** 3 * 8:
+                raise ValueError("cache file truncated or padded")
+            cube = np.frombuffer(payload, dtype="<i8").reshape((n1, n1, n1))
+            return cls(cls.MODE_BOX, n_max, cube)
+        raise ValueError(f"unknown cache mode code {mode_code}")
 
 
 def default_cache_dir() -> str:
@@ -297,13 +295,22 @@ def default_cache_dir() -> str:
 
 def load_or_build(n_max: int, mode: str = RestrictedCountTable.MODE_LARGEST,
                   cache_dir: str | None = None, write: bool = True) -> RestrictedCountTable:
-    """Return a table from the on-disk cache, building and caching on miss."""
+    """Return a table from the on-disk cache, building and caching on miss.
+
+    A cache file that is stale (an older format version), damaged, or for
+    another table counts as a miss: the table is rebuilt and, with write,
+    the file is overwritten.
+    """
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     path = os.path.join(directory, f"counts-{mode}-{n_max}.ypt")
     if os.path.exists(path):
-        table = RestrictedCountTable.load(path)
-        if table.mode == mode and table.n_max == n_max:
-            return table
+        try:
+            table = RestrictedCountTable.load(path)
+        except ValueError:
+            pass
+        else:
+            if table.mode == mode and table.n_max == n_max:
+                return table
     table = RestrictedCountTable.build(n_max, mode)
     if write:
         try:

@@ -1,0 +1,62 @@
+"""Shared test data: count-table cache files that `RestrictedCountTable.load` must reject."""
+
+import marshal
+import struct
+
+import pytest
+
+from young.counting import RestrictedCountTable
+
+
+def _cache_file(n_max: int, payload: bytes, version: int = RestrictedCountTable._VERSION) -> bytes:
+    header = RestrictedCountTable._HEADER.pack(RestrictedCountTable._MAGIC, version, 1, 0, n_max)
+    return header + payload
+
+
+def _rows(n_max: int) -> list[list[int]]:
+    table = RestrictedCountTable.build(n_max)
+    return [table.row(v) for v in range(n_max + 1)]
+
+
+def _version_1(n_max: int) -> bytes:
+    """A by-largest-part file in the version-1 format: one length-prefixed
+    little-endian record per entry."""
+    records = []
+    for row in _rows(n_max):
+        for value in row:
+            raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
+            records.append(struct.pack("<I", len(raw)) + raw)
+    return _cache_file(n_max, b"".join(records), version=1)
+
+
+def _truncated(n_max: int) -> bytes:
+    whole = _cache_file(n_max, marshal.dumps(_rows(n_max)))
+    return whole[:len(whole) // 2]
+
+
+def _short_row(n_max: int) -> bytes:
+    rows = _rows(n_max)
+    rows[7].pop()
+    return _cache_file(n_max, marshal.dumps(rows))
+
+
+def _non_int_entry(n_max: int) -> bytes:
+    rows = _rows(n_max)
+    rows[7][3] = float(rows[7][3])
+    return _cache_file(n_max, marshal.dumps(rows))
+
+
+DAMAGED_CACHES = {
+    "empty": lambda n_max: b"",
+    "8-bytes": lambda n_max: _cache_file(n_max, b"")[:8],
+    "truncated-payload": _truncated,
+    "version-1": _version_1,
+    "short-row": _short_row,
+    "non-int-entry": _non_int_entry,
+}
+
+
+@pytest.fixture(params=sorted(DAMAGED_CACHES))
+def damaged_cache(request):
+    """A function n_max -> bytes of a by-largest-part cache file that load rejects."""
+    return DAMAGED_CACHES[request.param]

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from young.cli import main
+from young.counting import RestrictedCountTable
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text())
 
@@ -187,3 +188,18 @@ def test_tv_exact_and_mc(capsys, tmp_path):
 def test_cache_dir_is_populated(capsys, tmp_path):
     run_cli(capsys, "sample", "--n", "25", "--count", "1", "--cache-dir", str(tmp_path))
     assert (tmp_path / "counts-by-largest-part-25.ypt").exists()
+
+
+def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
+    args = ("sample", "--n", "25", "--count", "3", "--seed", "7", "--cache-dir")
+    code, expected, _ = run_cli(capsys, *args, str(tmp_path / "fresh"))
+    assert code == 0
+    damaged = tmp_path / "damaged"
+    damaged.mkdir()
+    path = damaged / "counts-by-largest-part-25.ypt"
+    path.write_bytes(damaged_cache(25))
+    code, out, _ = run_cli(capsys, *args, str(damaged))
+    assert code == 0
+    assert out == expected
+    assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 2
+    assert RestrictedCountTable.load(path).row(25) == RestrictedCountTable.build(25).row(25)

@@ -1,6 +1,8 @@
 import math
+import multiprocessing
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from young.asymptotics import C, log_of_count
@@ -145,6 +147,67 @@ def test_load_or_build_uses_cache(tmp_path):
     assert (tmp_path / "counts-by-largest-part-12.ypt").exists()
     second = load_or_build(12, cache_dir=str(tmp_path))
     assert second.row(12) == first.row(12)
+
+
+@pytest.mark.parametrize("n_max, mode", [(910, RestrictedCountTable.MODE_LARGEST),
+                                         (15, RestrictedCountTable.MODE_BOX)])
+def test_table_cache_roundtrip_is_exact(tmp_path, n_max, mode):
+    table = RestrictedCountTable.build(n_max, mode)
+    path = tmp_path / "t.ypt"
+    table.save(path)
+    loaded = RestrictedCountTable.load(path)
+    assert (loaded.mode, loaded.n_max) == (mode, n_max)
+    if mode == RestrictedCountTable.MODE_LARGEST:
+        assert [loaded.row(v) for v in range(n_max + 1)] == \
+            [table.row(v) for v in range(n_max + 1)]
+    else:
+        assert np.array_equal(loaded._data, table._data)
+
+
+def test_table_load_rejects_damaged_file(tmp_path, damaged_cache):
+    path = tmp_path / "bad.ypt"
+    path.write_bytes(damaged_cache(25))
+    with pytest.raises(ValueError):
+        RestrictedCountTable.load(path)
+
+
+def test_load_or_build_rebuilds_damaged_file(tmp_path, damaged_cache):
+    path = tmp_path / "counts-by-largest-part-25.ypt"
+    path.write_bytes(damaged_cache(25))
+    table = load_or_build(25, cache_dir=str(tmp_path))
+    expected = [RestrictedCountTable.build(25).row(v) for v in range(26)]
+    assert [table.row(v) for v in range(26)] == expected
+    version = RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1]
+    assert version == RestrictedCountTable._VERSION == 2
+    assert [RestrictedCountTable.load(path).row(v) for v in range(26)] == expected
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "t.ypt"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        RestrictedCountTable.build(5).save(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.ypt"]
+
+
+def _save_repeatedly(path: str, n_max: int, times: int) -> None:
+    table = RestrictedCountTable.build(n_max)
+    for _ in range(times):
+        table.save(path)
+
+
+def test_concurrent_saves_leave_one_whole_file(tmp_path):
+    path = str(tmp_path / "counts.ypt")
+    ctx = multiprocessing.get_context("spawn")
+    workers = [ctx.Process(target=_save_repeatedly, args=(path, 300, 20)) for _ in range(3)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert [worker.exitcode for worker in workers] == [0, 0, 0]
+    assert [p.name for p in tmp_path.iterdir()] == ["counts.ypt"]
+    assert RestrictedCountTable.load(path).row(300) == RestrictedCountTable.build(300).row(300)
 
 
 def test_log_of_count():
