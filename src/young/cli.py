@@ -130,7 +130,13 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+
+
 def cmd_sample(args) -> int:
+    _require_count(args.count)
     stream = _stream(args)
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
@@ -149,6 +155,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sample_surrogate(args) -> int:
+    _require_count(args.count)
     stream = _stream(args)
     _emit_json({"op": "sample-surrogate", "n": args.n, "k": args.k,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
@@ -231,11 +238,17 @@ def cmd_tv(args) -> int:
     else:
         if args.k != 1:
             raise ValueError("exact TV is available at k=1 only; use --mc for larger k")
+        t0 = time.perf_counter()
         result = experiments.tv_distance_k1(args.n)
+        elapsed = time.perf_counter() - t0
         _emit_json({"op": "tv", "mode": "exact", "n": args.n, "k": 1, "tv": result.tv,
                     "window_hi": result.window_hi, "leak_true": result.leak_true,
                     "leak_model": result.leak_model,
                     "nonpositive_mass": result.nonpositive_mass})
+        width = result.window_hi - 1
+        diagonals, updates = experiments.box_sweep_work(args.n, width)
+        _log(f"tv n={args.n} W={width} diagonals={diagonals} updates={updates} "
+             f"ready in {elapsed:.2f}s")
     return 0
 
 

@@ -47,13 +47,6 @@ def count_partitions(n: int) -> int:
     return cache[n]
 
 
-# Doubly-restricted counts switch implementation by size: a dense int64 cube
-# serves all n up to _CUBE_LIMIT (p(n) fits int64 well past 200), while large
-# single queries extract one coefficient of the Gaussian binomial exactly.
-_CUBE_LIMIT = 200
-_cube_table = None
-
-
 def _height_width_cube(n_max: int) -> np.ndarray:
     """Dense table T[v, r, s] = partitions of v with parts <= r, count <= s."""
     if count_partitions(n_max) >= 2**62:
@@ -86,7 +79,11 @@ def _gaussian_coeff(n: int, r: int, s: int) -> int:
 
 
 def count_restricted(n: int, r: int, s: int) -> int:
-    """Exact number of partitions of n with largest part <= r and at most s parts."""
+    """Exact number of partitions of n with largest part <= r and at most s parts.
+
+    This is the coefficient of q^n in the Gaussian binomial C(r+s, s)_q, built
+    with min(r, s, n) passes.
+    """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("arguments must be nonnegative")
     if n == 0:
@@ -95,11 +92,6 @@ def count_restricted(n: int, r: int, s: int) -> int:
     s = min(s, n)
     if r == 0 or s == 0 or n > r * s:
         return 0
-    if n <= _CUBE_LIMIT:
-        global _cube_table
-        if _cube_table is None:
-            _cube_table = _height_width_cube(_CUBE_LIMIT)
-        return int(_cube_table[n, r, s])
     if r < s:
         r, s = s, r
     return _gaussian_coeff(n, r, s)

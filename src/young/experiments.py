@@ -58,7 +58,13 @@ def _exact_estimate(value: float, samples: int, method: Method = "exact-enumerat
                     method=method)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _bernoulli_estimate(hits: int, samples: int, rng: RngStream) -> Estimate:
+    _require_samples(samples)
     v = hits / samples
     return Estimate(value=v, stderr=math.sqrt(v * (1.0 - v) / samples), samples=samples,
                     seed=rng.seed, stream_id=rng.stream_id, method="monte-carlo")
@@ -329,6 +335,7 @@ def chernoff_validate(j: int, d: float, samples: int, rng) -> BoundCheck:
     exponentials.
     """
     bound, loose = chernoff_bounds(j, d)
+    _require_samples(samples)
     rng = _require_stream(rng)
     gen = rng.generator()
     s = gen.gamma(j, size=samples)
@@ -348,6 +355,7 @@ def ratio_bound(j: int, beta: float) -> float:
 def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:
     """Empirical P(S'_j/S_j >= beta) against the moment bound."""
     bound = ratio_bound(j, beta)
+    _require_samples(samples)
     rng = _require_stream(rng)
     gen = rng.generator()
     s = gen.gamma(j, size=samples)
@@ -378,31 +386,77 @@ class TvExact:
         return min(self.leak_true, self.leak_model)
 
 
+# Bytes of the scratch block that one batch of shifted sources is copied into
+# in _box_pmf_sweep; a block this size stays in a core's L2 cache.
+_SWEEP_BLOCK_BYTES = 1 << 18
+
+
+def _sweep_diagonals(n: int, width: int):
+    """Anti-diagonals d = a + c the box sweep updates, as (d, c_lo, c_hi, columns).
+
+    Diagonal d sets slots c_lo..c_hi (part bound a = d - c in 1..width) over
+    columns 0..columns-1, where columns = n - d.
+    """
+    for d in range(2, min(n - 1, 2 * width) + 1):
+        yield d, max(1, d - width), min(d - 1, width), n - d
+
+
+def box_sweep_work(n: int, width: int) -> tuple[int, int]:
+    """(diagonals, element updates) that _box_pmf_sweep(n, width) performs."""
+    diagonals = updates = 0
+    for _, lo, hi, columns in _sweep_diagonals(n, width):
+        diagonals += 1
+        updates += (hi - lo + 1) * columns
+    return diagonals, updates
+
+
 def _box_pmf_sweep(n: int, width: int) -> np.ndarray:
     """Joint counts of (largest part, part count) for partitions of n.
 
     Entry [l, m] is the number of partitions of n with largest part exactly
     l and exactly m parts, for 1 <= l, m <= width + 1.  Computed through the
-    hook decomposition: that count equals the number of partitions of
-    n + 1 - l - m inside an (l-1) x (m-1) box, and the box counts satisfy a
-    local recurrence swept here in float64.  Counts stay below p(n), well
-    inside double range for n up to ~7e4, and additions of nonnegative terms
-    keep the relative error near 1e-12.
+    hook decomposition: that count equals B_{m-1}(l-1, n + 1 - l - m), where
+    B_c(a, v) counts the partitions of v with parts <= a and at most c parts.
+    The box counts satisfy
+
+        B_c(a, v) = B_c(a-1, v) + B_{c-1}(a, v-a),
+
+    evaluated here by anti-diagonals d = a + c of the (a, c) grid, in place:
+    slot c holds B_c(d - c, .), and moving to diagonal d + 1 adds slot c-1,
+    shifted right by d + 1 - c, into slot c, in descending c so that slot
+    c-1 still holds diagonal d.  Diagonal d is read at v = n - 1 - d and
+    every dependency reads the same or a smaller v, so diagonal d updates
+    only columns 0..n-d-1 and the sweep stops at d = n - 1.  Each slot keeps
+    width + 1 leading zeros, so a shifted read below column 0 finds zero:
+    the buffer holds (width + 1) * (n + width + 1) float64 values.  Each
+    entry is the sum of the same two floats as in a row-by-row sweep of the
+    same recurrence, so the result does not depend on the order of
+    evaluation.
+
+    Counts stay below p(n), well inside double range for n up to ~7e4, and
+    additions of nonnegative terms keep the relative error near 1e-12.
     """
-    length = n + 1
-    b = np.zeros((width + 1, length))
-    b[:, 0] = 1.0
+    zeros = width + 1
+    stride = n + zeros
+    slots = np.zeros((width + 1, stride))
+    slots[:, zeros] = 1.0  # B_c(0, v) = B_0(a, v) = [v == 0]
+    flat = slots.reshape(-1)
+    scratch = np.empty(max(_SWEEP_BLOCK_BYTES // flat.itemsize, n))
     pmf = np.zeros((width + 2, width + 2))
-    a_idx = np.arange(1, width + 1)
-    for count_bound in range(1, width + 1):
-        for a in range(1, width + 1):
-            row = b[a - 1].copy()
-            if a < length:
-                row[a:] += b[a, :length - a]
-            b[a] = row
-        read = n - 1 - count_bound - a_idx
-        valid = read >= 0
-        pmf[a_idx[valid] + 1, count_bound + 1] = b[a_idx[valid], read[valid]]
+    for d, lo, hi, columns in _sweep_diagonals(n, width):
+        rows = max(1, _SWEEP_BLOCK_BYTES // (flat.itemsize * columns))
+        for top in range(hi, lo - 1, -rows):
+            bottom = max(lo, top - rows + 1)
+            count = top - bottom + 1
+            # slot c reads slot c-1 shifted by a = d - c: one view whose rows
+            # step by stride + 1, one more than the slots themselves
+            start = (bottom - 1) * stride + zeros - (d - bottom)
+            shifted = flat[start:start + count * (stride + 1)].reshape(count, stride + 1)
+            block = scratch[:count * columns].reshape(count, columns)
+            np.copyto(block, shifted[:, :columns])
+            slots[bottom:top + 1, zeros:zeros + columns] += block
+        c = np.arange(lo, hi + 1)
+        pmf[d - c + 1, c + 1] = slots[lo:hi + 1, zeros + n - 1 - d]
     if n <= width + 1:
         pmf[n, 1] = 1.0
         pmf[1, n] = 1.0
@@ -484,6 +538,9 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     surrogate with a second independent exact stream, a null check whose
     distance should sit at the noise floor.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+    _require_samples(samples)
     rng = _require_stream(rng)
     if clip is None:
         clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))

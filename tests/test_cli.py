@@ -185,6 +185,46 @@ def test_tv_exact_and_mc(capsys, tmp_path):
     assert code == 2
 
 
+# stdout of `tv --n 100` before the sweep went by anti-diagonals; it must not change
+TV_100 = ('{"k": 1, "leak_model": 1.6788340606588292e-08, "leak_true": 0.0, "mode": "exact", '
+          '"n": 100, "nonpositive_mass": 0.00082178944736222, "op": "tv", '
+          '"tv": 0.2702812496226122, "window_hi": 161}\n')
+
+
+def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
+    code, out, err = run_cli(capsys, "tv", "--n", "100")
+    assert code == 0
+    assert out == TV_100
+    (line,) = err.splitlines()
+    assert line.startswith("tv n=100 W=160 diagonals=98 updates=")
+    assert " ready in " in line
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("wilf", "--n", "10", "--samples", "0"), "samples"),
+    (("wilf", "--n", "10", "--samples", "-5"), "samples"),
+    (("macdonald", "--n", "10", "--samples", "0"), "samples"),
+    (("pk", "--n", "10", "--k", "1", "--samples", "0"), "samples"),
+    (("chernoff", "--j", "5", "--d", "0.3", "--samples", "0"), "samples"),
+    (("chernoff", "--j", "5", "--beta", "2", "--samples", "0"), "samples"),
+    (("tv", "--mc", "--n", "10", "--samples", "0"), "samples"),
+    (("tv", "--mc", "--n", "10", "--k", "0", "--samples", "10"), "k must be positive"),
+    (("tv", "--mc", "--n", "10", "--k", "-1", "--samples", "10"), "k must be positive"),
+    (("sample", "--n", "10", "--count", "-1"), "count"),
+    (("sample", "--n", "10", "--count", "-1", "--method", "boltzmann"), "count"),
+    (("sample-surrogate", "--n", "10", "--count", "-1"), "count"),
+], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
+        "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
+        "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
+        "sample-surrogate-count-negative"])
+def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ") and word in err
+
+
 def test_cache_dir_is_populated(capsys, tmp_path):
     run_cli(capsys, "sample", "--n", "25", "--count", "1", "--cache-dir", str(tmp_path))
     assert (tmp_path / "counts-by-largest-part-25.ypt").exists()

@@ -76,7 +76,7 @@ def test_count_restricted_matches_enumeration_filter():
 
 
 def test_large_query_uses_exact_polynomial_path():
-    # beyond the cube limit the Gaussian-binomial path must agree with the oracle
+    # every query takes the Gaussian-binomial path; it must agree with the oracle
     assert count_restricted(250, 30, 20) == coeff_from_product(250, 30, 20, limit=250)
     assert count_restricted(150, 40, 37) == _gaussian_coeff(150, 40, 37)
 

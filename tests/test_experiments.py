@@ -7,6 +7,7 @@ from young.counting import RestrictedCountTable, count_partitions, count_restric
 from young.experiments import (
     Estimate,
     _box_pmf_sweep,
+    box_sweep_work,
     chernoff_bounds,
     chernoff_validate,
     macdonald_comparable_exact,
@@ -170,6 +171,46 @@ def test_box_sweep_matches_enumeration(n):
         keep = min(width + 2, n + 2)
         want[:keep, :keep] = full[:keep, :keep]
         assert np.array_equal(_box_pmf_sweep(n, width), want), (n, width)
+
+
+def _box_pmf_sweep_rows(n, width):
+    # reference: the row-by-row sweep over full rows that _box_pmf_sweep replaced
+    length = n + 1
+    b = np.zeros((width + 1, length))
+    b[:, 0] = 1.0
+    pmf = np.zeros((width + 2, width + 2))
+    a_idx = np.arange(1, width + 1)
+    for count_bound in range(1, width + 1):
+        for a in range(1, width + 1):
+            row = b[a - 1].copy()
+            if a < length:
+                row[a:] += b[a, :length - a]
+            b[a] = row
+        read = n - 1 - count_bound - a_idx
+        valid = read >= 0
+        pmf[a_idx[valid] + 1, count_bound + 1] = b[a_idx[valid], read[valid]]
+    if n <= width + 1:
+        pmf[n, 1] = 1.0
+        pmf[1, n] = 1.0
+    return pmf
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 25, 40, 100, 700])
+def test_box_sweep_matches_row_sweep_bit_for_bit(n):
+    production = tv_distance_k1(n).window_hi - 1
+    widths = {1, 2, 3, 7, n // 2, production, n + 5}
+    if n == 700:
+        widths.discard(n + 5)  # 705^2 row updates; widths past n are covered at smaller n
+    for width in sorted(widths):
+        assert np.array_equal(_box_pmf_sweep(n, width), _box_pmf_sweep_rows(n, width)), (
+            n, width)
+
+
+def test_box_sweep_work_counts_diagonals_and_updates():
+    # n=10, width=3: diagonals 2..6 set 1, 2, 3, 2, 1 slots over 8, 7, 6, 5, 4 columns
+    assert box_sweep_work(10, 3) == (5, 8 + 14 + 18 + 10 + 4)
+    assert box_sweep_work(1, 5) == (0, 0)
+    assert box_sweep_work(700, 443) == (698, 51_329_580)
 
 
 def test_box_sweep_marginal_matches_table():
