@@ -178,6 +178,7 @@ def cmd_wilf(args) -> int:
         payload.update({"mode": "exact", "graphical": str(graphical), "total": str(total),
                         "estimate": experiments._exact_estimate(graphical / total, total).to_dict()})
     else:
+        experiments._require_samples(args.samples)
         table = _load_table(args.n, args)
         est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo", "estimate": est.to_dict()})
@@ -193,6 +194,7 @@ def cmd_macdonald(args) -> int:
         est = experiments.macdonald_comparable_exact(args.n)
         payload.update({"mode": "exact", "estimate": est.to_dict()})
     else:
+        experiments._require_samples(args.samples)
         table = _load_table(args.n, args)
         result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo",
@@ -230,6 +232,7 @@ def cmd_chernoff(args) -> int:
 
 def cmd_tv(args) -> int:
     if args.mc:
+        experiments._require_samples(args.samples)
         table = _load_table(args.n, args)
         result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args), table)
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,

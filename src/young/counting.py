@@ -16,10 +16,12 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .asymptotics import slant_bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _pcache = [1]
 
@@ -49,6 +51,8 @@ def count_partitions(n: int) -> int:
 
 def _height_width_cube(n_max: int) -> np.ndarray:
     """Dense table T[v, r, s] = partitions of v with parts <= r, count <= s."""
+    import numpy as np
+
     if count_partitions(n_max) >= 2**62:
         raise ValueError("n_max too large for int64 table")
     t = np.zeros((n_max + 1, n_max + 1, n_max + 1), dtype=np.int64)
@@ -269,6 +273,8 @@ class RestrictedCountTable:
                     raise ValueError(f"cache file row {v} is damaged")
             return cls(cls.MODE_LARGEST, n_max, rows)
         if mode_code == 2:
+            import numpy as np
+
             n1 = n_max + 1
             if len(payload) != n1 ** 3 * 8:
                 raise ValueError("cache file truncated or padded")

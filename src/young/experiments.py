@@ -5,6 +5,9 @@ between the diagram law and the exponential-sums model.
 Monte Carlo estimators carry full provenance (seed, stream, sample count) and
 exact estimators carry stderr 0, so results serialize into comparable
 records.
+
+numpy and multiprocessing are imported only inside the functions that use
+them, so the exact and pure-Python experiments start without either.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from .asymptotics import C, hardy_ramanujan_log
 from .counting import RestrictedCountTable, count_partitions
 from .partitions import _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Method = Literal["exact-enumeration", "exact-ratio", "monte-carlo"]
 
@@ -64,7 +67,6 @@ def _require_samples(samples: int) -> None:
 
 
 def _bernoulli_estimate(hits: int, samples: int, rng: RngStream) -> Estimate:
-    _require_samples(samples)
     v = hits / samples
     return Estimate(value=v, stderr=math.sqrt(v * (1.0 - v) / samples), samples=samples,
                     seed=rng.seed, stream_id=rng.stream_id, method="monte-carlo")
@@ -120,6 +122,8 @@ def wilf_graphical_counts(n: int, processes: int = 1) -> tuple[int, int]:
         return 1, 1
     tasks = [(n, m) for m in range(n, 0, -1)]
     if processes > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(processes) as pool:
             results = pool.map(_wilf_largest_chunk, tasks)
     else:
@@ -143,6 +147,7 @@ def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> 
     """Monte Carlo fraction of graphical partitions via the exact sampler."""
     if n % 2:
         raise ValueError("n must be even")
+    _require_samples(samples)
     rng = _require_stream(rng)
     draw = make_sampler(n, rng, table)
     check = _nash_williams
@@ -175,6 +180,8 @@ def wilf_series(n_values, samples: int, rng, table: RestrictedCountTable | None 
 # Dominance comparability of two independent uniform partitions.
 
 def _prefix_matrix(parts_list: list[tuple[int, ...]]) -> np.ndarray:
+    import numpy as np
+
     depth = max((len(p) for p in parts_list), default=1)
     mat = np.zeros((len(parts_list), depth), dtype=np.int64)
     for i, p in enumerate(parts_list):
@@ -195,6 +202,8 @@ def macdonald_comparable_exact(n: int, cap: int = MACDONALD_EXACT_CAP) -> Estima
         raise ValueError("n must be positive")
     if n > cap:
         raise ValueError(f"n={n} beyond pair-enumeration cap {cap}")
+    import numpy as np
+
     prefix = _prefix_matrix(list(partitions(n)))
     count = len(prefix)
     comparable = 0
@@ -239,6 +248,7 @@ class MacdonaldMC:
 def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> MacdonaldMC:
     """Monte Carlo dominance probability for independent pairs, plus the
     probability that a single draw is dominated by its own conjugate."""
+    _require_samples(samples)
     rng = _require_stream(rng)
     draw = make_sampler(n, rng, table)
     comparable = 0
@@ -258,51 +268,48 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
 
 # Surrogate product event and the Chernoff-type bounds of its analysis.
 
-def surrogate_event_pk(n: int, k: int, samples: int, rng, chunk: int = 100_000) -> Estimate:
+# A surrogate chunk holds at most this many values in each of its (rows, k)
+# arrays, so each takes at most 1 MB whatever the sample count and k.
+_SURROGATE_CHUNK_VALUES = 1 << 17
+
+
+def _surrogate_rows(k: int) -> int:
+    return max(1, _SURROGATE_CHUNK_VALUES // k)
+
+
+def surrogate_event_pk(n: int, k: int, samples: int, rng) -> Estimate:
     """P(min over i <= k of prod_{j<=i} S'_j/S_j >= 1/2), by Monte Carlo.
 
     Products run in log space; n is recorded for provenance but the event
-    itself depends only on k.
+    itself depends only on k.  This is surrogate_event_pk_curve at one k.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    rng = _require_stream(rng)
-    gen = rng.generator()
-    hits = 0
-    done = 0
-    thresh = -math.log(2.0)
-    while done < samples:
-        m = min(chunk, samples - done)
-        s, s_dual = exponential_sums(gen, m, k)
-        drift = np.cumsum(np.log(s_dual) - np.log(s), axis=1)
-        hits += int(np.count_nonzero(drift.min(axis=1) >= thresh))
-        done += m
-    return _bernoulli_estimate(hits, samples, rng)
+    return surrogate_event_pk_curve(n, [k], samples, rng)[k]
 
 
-def surrogate_event_pk_curve(n: int, ks, samples: int, rng,
-                             chunk: int = 50_000) -> dict[int, Estimate]:
+def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimate]:
     """P_k estimates at several k from one shared sample, preserving nesting."""
+    import numpy as np
+
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
         raise ValueError("k must be positive")
+    _require_samples(samples)
     rng = _require_stream(rng)
     gen = rng.generator()
     kmax = ks[-1]
-    hits = {k: 0 for k in ks}
+    rows = _surrogate_rows(kmax)
+    hits = np.zeros(len(ks), dtype=np.int64)
     done = 0
     thresh = -math.log(2.0)
     idx = [k - 1 for k in ks]
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(rows, samples - done)
         s, s_dual = exponential_sums(gen, m, kmax)
         drift = np.cumsum(np.log(s_dual) - np.log(s), axis=1)
         running_min = np.minimum.accumulate(drift, axis=1)[:, idx]
-        ok = running_min >= thresh
-        for col, k in enumerate(ks):
-            hits[k] += int(np.count_nonzero(ok[:, col]))
+        hits += np.count_nonzero(running_min >= thresh, axis=0)
         done += m
-    return {k: _bernoulli_estimate(hits[k], samples, rng) for k in ks}
+    return {k: _bernoulli_estimate(int(h), samples, rng) for k, h in zip(ks, hits)}
 
 
 def chernoff_bounds(j: int, d: float) -> tuple[float, float]:
@@ -334,6 +341,8 @@ def chernoff_validate(j: int, d: float, samples: int, rng) -> BoundCheck:
     S_j is drawn as Gamma(j), equal in law to the partial sum of j unit
     exponentials.
     """
+    import numpy as np
+
     bound, loose = chernoff_bounds(j, d)
     _require_samples(samples)
     rng = _require_stream(rng)
@@ -354,6 +363,8 @@ def ratio_bound(j: int, beta: float) -> float:
 
 def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:
     """Empirical P(S'_j/S_j >= beta) against the moment bound."""
+    import numpy as np
+
     bound = ratio_bound(j, beta)
     _require_samples(samples)
     rng = _require_stream(rng)
@@ -436,6 +447,8 @@ def _box_pmf_sweep(n: int, width: int) -> np.ndarray:
     Counts stay below p(n), well inside double range for n up to ~7e4, and
     additions of nonnegative terms keep the relative error near 1e-12.
     """
+    import numpy as np
+
     zeros = width + 1
     stride = n + zeros
     slots = np.zeros((width + 1, stride))
@@ -474,6 +487,8 @@ def tv_distance_k1(n: int, leak_budget: float = 1e-6) -> TvExact:
     side); an error is raised when more than leak_budget is unaccounted in
     either law.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("n must be at least 2")
     if hardy_ramanujan_log(n) > 700.0:
@@ -561,17 +576,19 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     if compare_with == "self":
         counts_model = exact_counts(rng.split(rng.stream_id + 1))
     else:
+        import numpy as np
+
         counts_model = Counter()
         gen = rng.split(rng.stream_id + 1).generator()
+        rows = _surrogate_rows(k)
         done = 0
         while done < samples:
-            m = min(100_000, samples - done)
+            m = min(rows, samples - done)
             _, _, heights, widths = surrogate_batch(n, k, gen, m)
             np.clip(heights, 0, clip, out=heights)
             np.clip(widths, 0, clip, out=widths)
-            stacked = np.hstack([heights, widths])
-            for row in stacked:
-                counts_model[tuple(int(x) for x in row)] += 1
+            for head, dual in zip(heights.tolist(), widths.tolist()):
+                counts_model[tuple(head + dual)] += 1
             done += m
 
     keys = counts_true.keys() | counts_model.keys()

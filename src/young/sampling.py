@@ -9,38 +9,62 @@ exactly uniform with no rejection beyond that of the uniform itself.
 
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
-parallel without coordination.
+parallel without coordination.  A stream feeds two generators: exact draws
+take their ranks from a Mersenne Twister `random.Random`, which needs nothing
+beyond the standard library, and the array samplers (Boltzmann, surrogate,
+overflow) draw from a numpy PCG64 `Generator`.  numpy is imported only by the
+functions that build arrays.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .asymptotics import C
 from .counting import RestrictedCountTable
 from .partitions import Partition
 
+if TYPE_CHECKING:
+    import numpy as np
+
+_MASK64 = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible, splittable source of randomness."""
+    """Reproducible, splittable source of randomness.
+
+    `source()` gives the Mersenne Twister `random.Random` that exact draws
+    use; `generator()` gives the numpy PCG64 `Generator` that the array
+    samplers use.  Both are fresh on each call and replay the stream from its
+    start, and both are seeded from (seed, stream_id) alone, never through
+    `hash()`, so they do not depend on PYTHONHASHSEED.
+    """
 
     seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator replaying this stream from its start."""
-        return np.random.default_rng([self.seed & (2**64 - 1), self.stream_id & (2**64 - 1)])
+        """Fresh numpy generator replaying this stream from its start."""
+        import numpy as np
+
+        return np.random.default_rng([self.seed & _MASK64, self.stream_id & _MASK64])
+
+    def source(self) -> random.Random:
+        """Fresh standard-library generator replaying this stream from its start."""
+        return random.Random(((self.stream_id & _MASK64) << 64) | (self.seed & _MASK64))
 
     def split(self, stream_id: int) -> "RngStream":
         return RngStream(self.seed, stream_id)
 
 
 def _as_generator(rng) -> np.random.Generator:
+    import numpy as np
+
     if isinstance(rng, RngStream):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
@@ -48,31 +72,12 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or numpy Generator")
 
 
-class _ByteUniform:
-    """Buffered exact uniform integers below arbitrary big-integer bounds."""
-
-    __slots__ = ("_gen", "_buf", "_pos")
-    _CHUNK = 1 << 16
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._buf = b""
-        self._pos = 0
-
-    def below(self, bound: int) -> int:
-        bits = bound.bit_length()
-        nbytes = (bits + 7) >> 3
-        excess = (nbytes << 3) - bits
-        buf, pos = self._buf, self._pos
-        while True:
-            if pos + nbytes > len(buf):
-                buf = self._gen.bytes(max(self._CHUNK, nbytes))
-                pos = 0
-            val = int.from_bytes(buf[pos:pos + nbytes], "little") >> excess
-            pos += nbytes
-            if val < bound:
-                self._buf, self._pos = buf, pos
-                return val
+def _as_source(rng) -> random.Random:
+    """The exact draws' generator: the stream's own, or one seeded from 32
+    bytes of a numpy Generator."""
+    if isinstance(rng, RngStream):
+        return rng.source()
+    return random.Random(int.from_bytes(_as_generator(rng).bytes(32), "little"))
 
 
 def _unrank(n: int, table: RestrictedCountTable, rank: int) -> tuple[int, ...]:
@@ -107,13 +112,15 @@ def _unrank(n: int, table: RestrictedCountTable, rank: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def draw_uniform_parts(n: int, table: RestrictedCountTable, source: _ByteUniform) -> tuple[int, ...]:
+def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Random) -> tuple[int, ...]:
     """One exact-uniform partition of n as a raw tuple of parts.
 
     Draws a single uniform rank below p(n) and unranks it, so each draw makes
     one big-integer uniform call however many parts the partition has.
+    `randrange` takes the rank from `getrandbits` with rejection, so it is
+    exactly uniform.
     """
-    return _unrank(n, table, source.below(table._data[n][n]))
+    return _unrank(n, table, source.randrange(table._data[n][n]))
 
 
 def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
@@ -122,15 +129,14 @@ def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
         raise ValueError("table must be built in by-largest-part mode")
     if table.n_max < n:
         raise ValueError(f"table too small: n_max={table.n_max} < n={n}")
-    gen = _as_generator(rng)
-    return Partition(draw_uniform_parts(n, table, _ByteUniform(gen)))
+    return Partition(draw_uniform_parts(n, table, _as_source(rng)))
 
 
 def make_sampler(n: int, rng, table: RestrictedCountTable):
     """Zero-argument callable yielding raw part tuples, for tight MC loops."""
     if table.mode != RestrictedCountTable.MODE_LARGEST or table.n_max < n:
         raise ValueError("table must be by-largest-part with n_max >= n")
-    source = _ByteUniform(_as_generator(rng))
+    source = _as_source(rng)
 
     def draw() -> tuple[int, ...]:
         return draw_uniform_parts(n, table, source)
@@ -152,6 +158,8 @@ class BoltzmannStats:
 
 
 def _boltzmann_setup(n: int):
+    import numpy as np
+
     q = math.exp(-C / math.sqrt(n))
     # parts with q^j below 2^-80 are dropped; their total probability is
     # smaller than the rejection loop can ever observe
@@ -164,6 +172,8 @@ def _boltzmann_setup(n: int):
 def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
                            max_attempts: int | None = None):
     """Draw `count` uniform partitions of n by rejection; returns (list, stats)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be positive")
     gen = _as_generator(rng)
@@ -174,7 +184,9 @@ def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
     while len(out) < count:
         if attempts >= cap:
             raise RuntimeError(f"no acceptance after {attempts} attempts")
-        mult = gen.geometric(probs, size=(chunk, len(weights))).astype(np.int64) - 1
+        # geometric returns int64 already; decrement in place, with no copy
+        mult = gen.geometric(probs, size=(chunk, len(weights)))
+        mult -= 1
         totals = mult @ weights
         attempts += chunk
         for row in np.nonzero(totals == n)[0]:
@@ -229,6 +241,8 @@ def slanted_heights(n: int, sums) -> np.ndarray:
     A 1e-9 downward nudge before the ceiling absorbs float roundoff at exact
     integers (a measure-zero event for random input).
     """
+    import numpy as np
+
     scale = math.sqrt(n) / C
     x = scale * (math.log(scale) - np.log(np.asarray(sums, dtype=float)))
     return np.ceil(x - 1e-9).astype(np.int64)
@@ -236,6 +250,8 @@ def slanted_heights(n: int, sums) -> np.ndarray:
 
 def exponential_sums(rng, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, k) partial-sum matrices for the two independent sequences."""
+    import numpy as np
+
     gen = _as_generator(rng)
     e = -np.log1p(-gen.random((count, k)))
     e_dual = -np.log1p(-gen.random((count, k)))
@@ -316,6 +332,8 @@ def overflow_empirical(n: int, k: int, samples: int, rng) -> tuple[float, float]
     S_k is drawn as Gamma(k) and S_1 as a unit exponential; both equal the
     corresponding partial sums in distribution.
     """
+    import numpy as np
+
     bounds = surrogate_overflow_bounds(n, k)
     gen = _as_generator(rng)
     top = gen.gamma(k, size=samples)

@@ -2,15 +2,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import young
 from young.cli import main
 from young.counting import RestrictedCountTable
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text())
+SRC = str(Path(young.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -243,3 +248,57 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
     assert out == expected
     assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 2
     assert RestrictedCountTable.load(path).row(25) == RestrictedCountTable.build(25).row(25)
+
+
+@pytest.mark.parametrize("argv", [
+    ("wilf", "--n", "600", "--samples", "0"),
+    ("macdonald", "--n", "600", "--samples", "0"),
+    ("tv", "--mc", "--n", "600", "--samples", "0"),
+], ids=["wilf", "macdonald", "tv-mc"])
+def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "table n_max=" not in err
+    assert not list(tmp_path.glob("*.ypt"))
+
+
+def run_python(code: str, cache_dir: Path, hash_seed: str = "0") -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this `young`, caching in cache_dir."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, YOUNG_CACHE_DIR=str(cache_dir))
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cache_dir,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ("sample", "--n", "30"),
+    ("wilf", "--n", "30", "--samples", "100"),
+    ("macdonald", "--n", "20", "--samples", "50"),
+    ("count-restricted", "--n", "150", "--r", "20", "--s", "30"),
+    ("wilf", "--n", "20", "--exact", "--threads", "1"),
+    ("lemma1-grid", "--r-count", "3", "--theta-count", "3"),
+], ids=["import", "sample", "wilf", "macdonald", "count-restricted", "wilf-exact",
+        "lemma1-grid"])
+def test_exact_calls_start_without_numpy(tmp_path, argv):
+    call = "" if argv is None else f"assert young.cli.main({list(argv)!r}) == 0; "
+    code = (f"import sys, young.cli; {call}"
+            "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    result = run_python(code, tmp_path)
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def test_sample_streams_do_not_depend_on_the_hash_seed(tmp_path):
+    def sample(stream: str, hash_seed: str) -> bytes:
+        argv = ["sample", "--n", "60", "--count", "20", "--seed", "9", "--stream", stream]
+        result = run_python(f"import young.cli; young.cli.main({argv!r})", tmp_path, hash_seed)
+        assert result.returncode == 0, result.stderr.decode()
+        return result.stdout
+
+    first = sample("1", "0")
+    assert len(first.splitlines()) == 21
+    assert sample("1", "1") == first
+    draws = first.splitlines()[1:]
+    assert sample("2", "0").splitlines()[1:] != draws

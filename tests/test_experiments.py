@@ -83,6 +83,13 @@ def test_wilf_series(table60):
         wilf_series([86], samples=10, rng=RngStream(23))
 
 
+@pytest.mark.parametrize("experiment", [wilf_fraction_mc, macdonald_comparable_mc])
+def test_mc_experiments_check_samples_before_the_table(experiment):
+    # the table is too small for n; the sample count is rejected first
+    with pytest.raises(ValueError, match="samples"):
+        experiment(10, 0, RngStream(1), RestrictedCountTable.build(4))
+
+
 def test_macdonald_exact_values():
     assert macdonald_comparable_exact(1).value == 1.0
     assert macdonald_comparable_exact(2).value == 0.75
