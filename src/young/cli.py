@@ -41,8 +41,7 @@ def _stream(args) -> sampling.RngStream:
 
 def _load_table(n: int, args) -> counting.RestrictedCountTable:
     t0 = time.perf_counter()
-    table = counting.load_or_build(n, counting.RestrictedCountTable.MODE_LARGEST,
-                                   cache_dir=args.cache_dir)
+    table = counting.load_or_build(n, cache_dir=args.cache_dir)
     _log(f"table n_max={n} ready in {time.perf_counter() - t0:.2f}s")
     return table
 
@@ -104,6 +103,8 @@ def cmd_freiman_sweep(args) -> int:
 
 
 def cmd_lemma1_grid(args) -> int:
+    _require_at_least("--r-count", args.r_count, 2)
+    _require_at_least("--theta-count", args.theta_count, 1)
     rows = []
     all_hold = True
     for i in range(args.r_count):
@@ -130,13 +131,14 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _require_count(count: int) -> None:
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+def _require_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def cmd_sample(args) -> int:
-    _require_count(args.count)
+    _require_at_least("n", args.n, 0 if args.method == "exact" else 1)
+    _require_at_least("count", args.count, 0)
     stream = _stream(args)
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
@@ -155,7 +157,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sample_surrogate(args) -> int:
-    _require_count(args.count)
+    _require_at_least("n", args.n, 1)
+    _require_at_least("k", args.k, 1)
+    _require_at_least("count", args.count, 0)
     stream = _stream(args)
     _emit_json({"op": "sample-surrogate", "n": args.n, "k": args.k,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
@@ -178,7 +182,8 @@ def cmd_wilf(args) -> int:
         payload.update({"mode": "exact", "graphical": str(graphical), "total": str(total),
                         "estimate": experiments._exact_estimate(graphical / total, total).to_dict()})
     else:
-        experiments._require_samples(args.samples)
+        experiments._require_even(args.n)
+        experiments._require_mc_args(args.n, args.samples)
         table = _load_table(args.n, args)
         est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo", "estimate": est.to_dict()})
@@ -194,7 +199,7 @@ def cmd_macdonald(args) -> int:
         est = experiments.macdonald_comparable_exact(args.n)
         payload.update({"mode": "exact", "estimate": est.to_dict()})
     else:
-        experiments._require_samples(args.samples)
+        experiments._require_mc_args(args.n, args.samples)
         table = _load_table(args.n, args)
         result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo",
@@ -232,7 +237,7 @@ def cmd_chernoff(args) -> int:
 
 def cmd_tv(args) -> int:
     if args.mc:
-        experiments._require_samples(args.samples)
+        experiments._require_mc_args(args.n, args.samples, args.k)
         table = _load_table(args.n, args)
         result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args), table)
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,

@@ -2,10 +2,11 @@
 
 Counts are plain Python integers; nothing in this module rounds.  Three
 families are covered: p(n) via the pentagonal-number recurrence, counts of
-partitions with bounded largest part (the table that also drives the exact
-sampler), and the doubly-restricted counts with bounded largest part and
-bounded number of parts, with a Gaussian-binomial product as an independent
-oracle.
+partitions with bounded largest part (`RestrictedCountTable`, whose cumulative
+rows drive the exact sampler, with an on-disk cache), and the
+doubly-restricted counts with bounded largest part and bounded number of
+parts (`count_restricted`, a Gaussian binomial), with the literal product
+formula as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .asymptotics import slant_bounds
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _pcache = [1]
 
@@ -47,21 +44,6 @@ def count_partitions(n: int) -> int:
             k += 1
         cache.append(total)
     return cache[n]
-
-
-def _height_width_cube(n_max: int) -> np.ndarray:
-    """Dense table T[v, r, s] = partitions of v with parts <= r, count <= s."""
-    import numpy as np
-
-    if count_partitions(n_max) >= 2**62:
-        raise ValueError("n_max too large for int64 table")
-    t = np.zeros((n_max + 1, n_max + 1, n_max + 1), dtype=np.int64)
-    t[0, :, :] = 1
-    for r in range(1, n_max + 1):
-        t[:, r, :] = t[:, r - 1, :]
-        for s in range(1, n_max + 1):
-            t[r:, r, s] += t[:-r, r, s - 1]
-    return t
 
 
 def _gaussian_coeff(n: int, r: int, s: int) -> int:
@@ -161,87 +143,69 @@ def joint_tail(n: int, h: float, w: float) -> JointTail:
 
 
 class RestrictedCountTable:
-    """Immutable table of restricted partition counts, buildable and cacheable.
+    """Immutable table of partition counts by largest part, buildable and cacheable.
 
-    Two modes:
-      * "by-largest-part": entry(v, m) = partitions of v with all parts <= m,
-        stored as ragged cumulative rows (exact big integers).  Row v is the
-        cumulative distribution over the largest part, which is what the
-        exact sampler bisects.
-      * "by-height-and-width": entry(n, r, s) = partitions with largest part
-        <= r and at most s parts, stored as a dense int64 cube.
+    entry(v, m) is the number of partitions of v with all parts <= m, for
+    v <= n_max, as an exact big integer.  The table is stored as ragged
+    cumulative rows: row v lists entry(v, m) for m = 0..v, the cumulative
+    distribution over the largest part that the exact sampler bisects.
 
     save/load keep one table per file, as a header and one bulk payload (see
     the comment above save); load raises ValueError on a file of another
-    version or a damaged one.
+    version, another layout or a damaged one.
     """
 
     MODE_LARGEST = "by-largest-part"
-    MODE_BOX = "by-height-and-width"
+    mode = MODE_LARGEST
 
     _MAGIC = b"YPTB"
     _VERSION = 2
     _HEADER = struct.Struct("<4sHBBQ")
+    _MODE_CODE = 1
 
-    def __init__(self, mode: str, n_max: int, data):
-        self.mode = mode
+    def __init__(self, n_max: int, rows: list[list[int]]):
         self.n_max = n_max
-        self._data = data
+        self._data = rows
 
     @classmethod
-    def build(cls, n_max: int, mode: str = MODE_LARGEST) -> "RestrictedCountTable":
+    def build(cls, n_max: int) -> "RestrictedCountTable":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if mode == cls.MODE_LARGEST:
-            rows = [[1]]
-            for v in range(1, n_max + 1):
-                prev = rows
-                row = [0] * (v + 1)
-                for m in range(1, v + 1):
-                    rest = v - m
-                    row[m] = row[m - 1] + prev[rest][rest if rest < m else m]
-                rows.append(row)
-            return cls(mode, n_max, rows)
-        if mode == cls.MODE_BOX:
-            return cls(mode, n_max, _height_width_cube(n_max))
-        raise ValueError(f"unknown mode: {mode}")
+        rows = [[1]]
+        for v in range(1, n_max + 1):
+            prev = rows
+            row = [0] * (v + 1)
+            for m in range(1, v + 1):
+                rest = v - m
+                row[m] = row[m - 1] + prev[rest][rest if rest < m else m]
+            rows.append(row)
+        return cls(n_max, rows)
 
-    def entry(self, *args) -> int:
-        if self.mode == self.MODE_LARGEST:
-            v, m = args
-            if v > self.n_max:
-                raise ValueError("weight beyond table range")
-            if v < 0:
-                return 0
-            row = self._data[v]
-            return row[m if m < v else v] if m >= 0 else 0
-        n, r, s = args
-        if n > self.n_max:
+    def entry(self, v: int, m: int) -> int:
+        if v > self.n_max:
             raise ValueError("weight beyond table range")
-        return int(self._data[n, min(r, n), min(s, n)])
+        if v < 0:
+            return 0
+        row = self._data[v]
+        return row[m if m < v else v] if m >= 0 else 0
 
     def row(self, v: int) -> list[int]:
         """Cumulative counts over the largest part for weight v (read-only)."""
-        if self.mode != self.MODE_LARGEST:
-            raise ValueError("rows exist only in by-largest-part mode")
         return self._data[v]
 
-    # Cache file: a fixed header (magic, version, mode, n_max), then one bulk
-    # payload.  By-largest-part rows are marshal.dumps(rows); marshal builds
-    # only data and never runs code, and load() checks the shape and the type
-    # of every entry before use.  The box cube is raw little-endian int64.
+    # Cache file: a fixed header (magic, version, layout code 1, n_max), then
+    # one bulk payload, marshal.dumps(rows).  marshal builds only data and
+    # never runs code, and load() checks the shape and the type of every
+    # entry before use.
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the table to path atomically, through a per-process temp file."""
-        if self.mode == self.MODE_LARGEST:
-            mode_code, payload = 1, marshal.dumps(self._data)
-        else:
-            mode_code, payload = 2, self._data.astype("<i8", copy=False).tobytes()
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, mode_code, 0, self.n_max))
-                fh.write(payload)
+                fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, self._MODE_CODE, 0,
+                                           self.n_max))
+                fh.write(marshal.dumps(self._data))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -260,27 +224,19 @@ class RestrictedCountTable:
                 raise ValueError("not a count-table cache file")
             if version != cls._VERSION:
                 raise ValueError(f"unsupported cache version {version}")
+            if mode_code != cls._MODE_CODE:
+                raise ValueError(f"unknown cache mode code {mode_code}")
             payload = fh.read()
-        if mode_code == 1:
-            try:
-                rows = marshal.loads(payload)
-            except (EOFError, ValueError, TypeError) as exc:
-                raise ValueError(f"damaged cache payload: {exc}") from None
-            if type(rows) is not list or len(rows) != n_max + 1:
-                raise ValueError("cache file has the wrong number of rows")
-            for v, row in enumerate(rows):
-                if type(row) is not list or len(row) != v + 1 or set(map(type, row)) != {int}:
-                    raise ValueError(f"cache file row {v} is damaged")
-            return cls(cls.MODE_LARGEST, n_max, rows)
-        if mode_code == 2:
-            import numpy as np
-
-            n1 = n_max + 1
-            if len(payload) != n1 ** 3 * 8:
-                raise ValueError("cache file truncated or padded")
-            cube = np.frombuffer(payload, dtype="<i8").reshape((n1, n1, n1))
-            return cls(cls.MODE_BOX, n_max, cube)
-        raise ValueError(f"unknown cache mode code {mode_code}")
+        try:
+            rows = marshal.loads(payload)
+        except (EOFError, ValueError, TypeError) as exc:
+            raise ValueError(f"damaged cache payload: {exc}") from None
+        if type(rows) is not list or len(rows) != n_max + 1:
+            raise ValueError("cache file has the wrong number of rows")
+        for v, row in enumerate(rows):
+            if type(row) is not list or len(row) != v + 1 or set(map(type, row)) != {int}:
+                raise ValueError(f"cache file row {v} is damaged")
+        return cls(n_max, rows)
 
 
 def default_cache_dir() -> str:
@@ -291,29 +247,27 @@ def default_cache_dir() -> str:
     return os.path.join(base, "young")
 
 
-def load_or_build(n_max: int, mode: str = RestrictedCountTable.MODE_LARGEST,
-                  cache_dir: str | None = None, write: bool = True) -> RestrictedCountTable:
+def load_or_build(n_max: int, cache_dir: str | None = None) -> RestrictedCountTable:
     """Return a table from the on-disk cache, building and caching on miss.
 
     A cache file that is stale (an older format version), damaged, or for
-    another table counts as a miss: the table is rebuilt and, with write,
-    the file is overwritten.
+    another table counts as a miss: the table is rebuilt and the file is
+    overwritten.
     """
     directory = cache_dir if cache_dir is not None else default_cache_dir()
-    path = os.path.join(directory, f"counts-{mode}-{n_max}.ypt")
+    path = os.path.join(directory, f"counts-{RestrictedCountTable.MODE_LARGEST}-{n_max}.ypt")
     if os.path.exists(path):
         try:
             table = RestrictedCountTable.load(path)
         except ValueError:
             pass
         else:
-            if table.mode == mode and table.n_max == n_max:
+            if table.n_max == n_max:
                 return table
-    table = RestrictedCountTable.build(n_max, mode)
-    if write:
-        try:
-            os.makedirs(directory, exist_ok=True)
-            table.save(path)
-        except OSError:
-            pass  # cache is an optimization, never a requirement
+    table = RestrictedCountTable.build(n_max)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        table.save(path)
+    except OSError:
+        pass  # cache is an optimization, never a requirement
     return table

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Literal
 
 from .asymptotics import C, hardy_ramanujan_log
 from .counting import RestrictedCountTable, count_partitions
-from .partitions import _nash_williams, partitions
+from .partitions import _conjugate, _dominates, _nash_williams, partitions, partitions_with_largest
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
 
 if TYPE_CHECKING:
@@ -66,9 +66,28 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
+def _require_mc_args(n: int, samples: int, k: int = 1) -> None:
+    """Reject the arguments of a Monte Carlo experiment on the diagram before
+    any table is built or any output written; the CLI calls it first too."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    _require_samples(samples)
+
+
+def _require_even(n: int) -> None:
+    if n % 2:
+        raise ValueError("n must be even")
+
+
 def _bernoulli_estimate(hits: int, samples: int, rng: RngStream) -> Estimate:
     v = hits / samples
-    return Estimate(value=v, stderr=math.sqrt(v * (1.0 - v) / samples), samples=samples,
+    # with no hits or all hits the plug-in stderr would be 0, which only exact
+    # methods report; there it counts half a hit (or half a miss) instead
+    half = 0.5 / samples
+    c = min(max(v, half), 1.0 - half)
+    return Estimate(value=v, stderr=math.sqrt(c * (1.0 - c) / samples), samples=samples,
                     seed=rng.seed, stream_id=rng.stream_id, method="monte-carlo")
 
 
@@ -105,19 +124,23 @@ def _wilf_largest_chunk(args: tuple[int, int]) -> tuple[int, int]:
     graphical = 0
     total = 0
     check = _nash_williams
-    for rest in partitions(n - largest, max_part=largest):
+    for parts in partitions_with_largest(n, largest):
         total += 1
-        if check((largest,) + rest):
+        if check(parts):
             graphical += 1
     return graphical, total
 
 
 def wilf_graphical_counts(n: int, processes: int = 1) -> tuple[int, int]:
-    """(graphical, total) over every partition of even n, by exhaustive sweep.
+    """(graphical, total) over every partition of even n <= WILF_EXACT_CAP,
+    by exhaustive sweep.
 
     The sweep splits by largest part, so it parallelizes across processes
     with order-independent aggregation.
     """
+    _require_even(n)
+    if n > WILF_EXACT_CAP:
+        raise ValueError(f"n={n} beyond enumeration cap {WILF_EXACT_CAP}; use wilf_fraction_mc")
     if n == 0:
         return 1, 1
     tasks = [(n, m) for m in range(n, 0, -1)]
@@ -133,21 +156,16 @@ def wilf_graphical_counts(n: int, processes: int = 1) -> tuple[int, int]:
     return graphical, total
 
 
-def wilf_fraction_exact(n: int, cap: int = WILF_EXACT_CAP, processes: int = 1) -> Estimate:
+def wilf_fraction_exact(n: int) -> Estimate:
     """Exact fraction of graphical partitions of even n by full enumeration."""
-    if n % 2:
-        raise ValueError("n must be even")
-    if n > cap:
-        raise ValueError(f"n={n} beyond enumeration cap {cap}; use wilf_fraction_mc")
-    graphical, total = wilf_graphical_counts(n, processes)
+    graphical, total = wilf_graphical_counts(n)
     return _exact_estimate(graphical / total, samples=total)
 
 
 def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> Estimate:
     """Monte Carlo fraction of graphical partitions via the exact sampler."""
-    if n % 2:
-        raise ValueError("n must be even")
-    _require_samples(samples)
+    _require_even(n)
+    _require_mc_args(n, samples)
     rng = _require_stream(rng)
     draw = make_sampler(n, rng, table)
     check = _nash_williams
@@ -158,15 +176,14 @@ def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> 
     return _bernoulli_estimate(hits, samples, rng)
 
 
-def wilf_series(n_values, samples: int, rng, table: RestrictedCountTable | None = None,
-                cap: int = WILF_EXACT_CAP, processes: int = 1) -> FractionSeries:
-    """Graphical fraction for each even n: exact below the cap, MC above."""
+def wilf_series(n_values, samples: int, rng,
+                table: RestrictedCountTable | None = None) -> FractionSeries:
+    """Graphical fraction for each even n: exact up to WILF_EXACT_CAP, MC above."""
     rows = []
     for i, n in enumerate(n_values):
-        if n % 2:
-            raise ValueError("series is over even n only")
-        if n <= cap:
-            graphical, total = wilf_graphical_counts(n, processes)
+        _require_even(n)
+        if n <= WILF_EXACT_CAP:
+            graphical, total = wilf_graphical_counts(n)
             rows.append(FractionRow(n, graphical, total,
                                     _exact_estimate(graphical / total, total)))
         else:
@@ -192,7 +209,7 @@ def _prefix_matrix(parts_list: list[tuple[int, ...]]) -> np.ndarray:
 MACDONALD_EXACT_CAP = 25
 
 
-def macdonald_comparable_exact(n: int, cap: int = MACDONALD_EXACT_CAP) -> Estimate:
+def macdonald_comparable_exact(n: int) -> Estimate:
     """Exact probability that one uniform partition dominates another.
 
     Counts ordered pairs (lam, mu) with mu below lam in dominance order over
@@ -200,8 +217,8 @@ def macdonald_comparable_exact(n: int, cap: int = MACDONALD_EXACT_CAP) -> Estima
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(f"n={n} beyond pair-enumeration cap {cap}")
+    if n > MACDONALD_EXACT_CAP:
+        raise ValueError(f"n={n} beyond pair-enumeration cap {MACDONALD_EXACT_CAP}")
     import numpy as np
 
     prefix = _prefix_matrix(list(partitions(n)))
@@ -215,30 +232,6 @@ def macdonald_comparable_exact(n: int, cap: int = MACDONALD_EXACT_CAP) -> Estima
     return _exact_estimate(comparable / count**2, samples=count**2)
 
 
-def _dominates_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # True when partial sums of a stay >= partial sums of b (equal weights)
-    sa = sb = 0
-    la, lb = len(a), len(b)
-    for i in range(lb):
-        sa += a[i] if i < la else 0
-        sb += b[i]
-        if sb > sa:
-            return False
-    return True
-
-
-def _conjugate_tuple(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    out = []
-    m = len(parts)
-    for i in range(1, parts[0] + 1):
-        while parts[m - 1] < i:
-            m -= 1
-        out.append(m)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MacdonaldMC:
     comparable: Estimate
@@ -248,7 +241,7 @@ class MacdonaldMC:
 def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> MacdonaldMC:
     """Monte Carlo dominance probability for independent pairs, plus the
     probability that a single draw is dominated by its own conjugate."""
-    _require_samples(samples)
+    _require_mc_args(n, samples)
     rng = _require_stream(rng)
     draw = make_sampler(n, rng, table)
     comparable = 0
@@ -256,9 +249,9 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
     for _ in range(samples):
         lam = draw()
         mu = draw()
-        if _dominates_prefix(lam, mu):
+        if _dominates(lam, mu):
             comparable += 1
-        if _dominates_prefix(_conjugate_tuple(lam), lam):
+        if _dominates(_conjugate(lam), lam):
             self_dual += 1
     return MacdonaldMC(
         comparable=_bernoulli_estimate(comparable, samples, rng),
@@ -314,6 +307,8 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
 
 def chernoff_bounds(j: int, d: float) -> tuple[float, float]:
     """(tight, loose) bounds for P(|S_j/j - 1| >= d): exp(j(log(1+d)-d)) and exp(-j d^2/2)."""
+    if j < 1:
+        raise ValueError(f"j must be at least 1, got {j}")
     if not 0.0 < d < 1.0:
         raise ValueError("d must lie in (0, 1)")
     return math.exp(j * (math.log1p(d) - d)), math.exp(-j * d * d / 2.0)
@@ -356,6 +351,8 @@ def chernoff_validate(j: int, d: float, samples: int, rng) -> BoundCheck:
 
 def ratio_bound(j: int, beta: float) -> float:
     """(1 + (beta-1)^2 / (4 beta))^{-j}, bounding P(S'_j/S_j >= beta)."""
+    if j < 1:
+        raise ValueError(f"j must be at least 1, got {j}")
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
     return (1.0 + (beta - 1.0) ** 2 / (4.0 * beta)) ** (-j)
@@ -530,17 +527,6 @@ class TvMc:
     clip: int
 
 
-def _conjugate_prefix_k(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    # first k dual parts: number of parts >= j for j = 1..k
-    m = len(parts)
-    out = []
-    for j in range(1, k + 1):
-        while m > 0 and parts[m - 1] < j:
-            m -= 1
-        out.append(m)
-    return tuple(out)
-
-
 def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTable,
                    clip: int | None = None, compare_with: str = "surrogate") -> TvMc:
     """Plug-in TV lower bound between empirical joint laws of the k largest
@@ -553,9 +539,7 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     surrogate with a second independent exact stream, a null check whose
     distance should sit at the noise floor.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    _require_samples(samples)
+    _require_mc_args(n, samples, k)
     rng = _require_stream(rng)
     if clip is None:
         clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))
@@ -568,7 +552,7 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
         for _ in range(samples):
             parts = draw()
             head = tuple(min(p, clip) for p in parts[:k]) + (0,) * max(0, k - len(parts))
-            dual = tuple(min(q, clip) for q in _conjugate_prefix_k(parts, k))
+            dual = tuple(min(q, clip) for q in _conjugate(parts, k))
             counts[head + dual] += 1
         return counts
 

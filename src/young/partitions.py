@@ -87,16 +87,24 @@ def _parts_of(p) -> tuple[int, ...]:
 
 def conjugate(p) -> Partition:
     """Transpose the Young diagram: part i of the result counts parts >= i."""
-    parts = _parts_of(p)
-    if not parts:
-        return Partition()
-    out = []
+    return Partition(_conjugate(_parts_of(p)))
+
+
+def _conjugate(parts: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:
+    """The first k dual parts of a weakly decreasing tuple, or all of them when
+    k is None.  Dual part j counts the parts >= j, so past parts[0] it is 0."""
+    top = parts[0] if parts else 0
+    stop = top if k is None or k > top else k
+    # m = number of parts >= j, moved in from the end
     m = len(parts)
-    for i in range(1, parts[0] + 1):
-        while m > 0 and parts[m - 1] < i:
+    out = []
+    for j in range(1, stop + 1):
+        while parts[m - 1] < j:
             m -= 1
         out.append(m)
-    return Partition(out)
+    if k is not None:
+        out.extend([0] * (k - stop))
+    return tuple(out)
 
 
 def durfee(p) -> int:
@@ -120,10 +128,21 @@ def dominates(mu, lam) -> bool:
     b = _parts_of(lam)
     if sum(a) != sum(b):
         raise ValueError("incomparable weights")
+    return _dominates(a, b)
+
+
+def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Dominance of two weakly decreasing tuples of equal weight.
+
+    The loop stops at the end of b: there b's prefix sum is the whole
+    weight, so a's passes only if it is the whole weight too, and every
+    later prefix compares equal.
+    """
     sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
+    la = len(a)
+    for i in range(len(b)):
+        sa += a[i] if i < la else 0
+        sb += b[i]
         if sb > sa:
             return False
     return True
@@ -212,9 +231,7 @@ def gale_ryser_bipartite(alpha, beta) -> bool:
     b = _parts_of(beta)
     if sum(a) != sum(b):
         return False
-    if not a:
-        return True
-    return dominates(conjugate(b), a)
+    return _dominates(_conjugate(b), a)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -125,17 +125,13 @@ def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Rando
 
 def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
     """Exactly uniform partition of n, unranked from one uniform rank below p(n)."""
-    if table.mode != RestrictedCountTable.MODE_LARGEST:
-        raise ValueError("table must be built in by-largest-part mode")
-    if table.n_max < n:
-        raise ValueError(f"table too small: n_max={table.n_max} < n={n}")
-    return Partition(draw_uniform_parts(n, table, _as_source(rng)))
+    return Partition(make_sampler(n, rng, table)())
 
 
 def make_sampler(n: int, rng, table: RestrictedCountTable):
     """Zero-argument callable yielding raw part tuples, for tight MC loops."""
-    if table.mode != RestrictedCountTable.MODE_LARGEST or table.n_max < n:
-        raise ValueError("table must be by-largest-part with n_max >= n")
+    if table.n_max < n:
+        raise ValueError(f"table too small: n_max={table.n_max} < n={n}")
     source = _as_source(rng)
 
     def draw() -> tuple[int, ...]:

@@ -8,8 +8,10 @@ import pytest
 from young.counting import RestrictedCountTable
 
 
-def _cache_file(n_max: int, payload: bytes, version: int = RestrictedCountTable._VERSION) -> bytes:
-    header = RestrictedCountTable._HEADER.pack(RestrictedCountTable._MAGIC, version, 1, 0, n_max)
+def _cache_file(n_max: int, payload: bytes, version: int = RestrictedCountTable._VERSION,
+                mode_code: int = 1) -> bytes:
+    header = RestrictedCountTable._HEADER.pack(RestrictedCountTable._MAGIC, version, mode_code,
+                                               0, n_max)
     return header + payload
 
 
@@ -27,6 +29,12 @@ def _version_1(n_max: int) -> bytes:
             raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
             records.append(struct.pack("<I", len(raw)) + raw)
     return _cache_file(n_max, b"".join(records), version=1)
+
+
+def _box_cube(n_max: int) -> bytes:
+    """A file of the removed by-height-and-width layout: mode code 2 and an
+    (n_max + 1)^3 little-endian int64 cube."""
+    return _cache_file(n_max, bytes(8 * (n_max + 1) ** 3), mode_code=2)
 
 
 def _truncated(n_max: int) -> bytes:
@@ -53,10 +61,11 @@ DAMAGED_CACHES = {
     "version-1": _version_1,
     "short-row": _short_row,
     "non-int-entry": _non_int_entry,
+    "mode-code-2": _box_cube,
 }
 
 
 @pytest.fixture(params=sorted(DAMAGED_CACHES))
 def damaged_cache(request):
-    """A function n_max -> bytes of a by-largest-part cache file that load rejects."""
+    """A function n_max -> bytes of a count-table cache file that load rejects."""
     return DAMAGED_CACHES[request.param]

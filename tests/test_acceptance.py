@@ -78,19 +78,41 @@ def test_criterion_01_counting_oracles():
     print(f"ACCEPTANCE 01 counting oracles: PASS ({elapsed:.1f}s)")
 
 
+def _height_width_cube(n_max: int) -> np.ndarray:
+    """Reference cube T[v, r, s] = partitions of v with parts <= r and at most
+    s parts, by the recurrence over the largest part r, in int64."""
+    assert count_partitions(n_max) < 2**62
+    t = np.zeros((n_max + 1, n_max + 1, n_max + 1), dtype=np.int64)
+    t[0, :, :] = 1
+    for r in range(1, n_max + 1):
+        t[:, r, :] = t[:, r - 1, :]
+        for s in range(1, n_max + 1):
+            t[r:, r, s] += t[:-r, r, s - 1]
+    return t
+
+
 def test_criterion_02_restricted_structure():
-    cube = RestrictedCountTable.build(200, RestrictedCountTable.MODE_BOX)
+    cube = _height_width_cube(200)
     for n in range(201):
-        grid = cube._data[n]
+        grid = cube[n]
         assert np.array_equal(grid, grid.T), f"symmetry fails at n={n}"
-        assert cube.entry(n, n, n) == count_partitions(n)
+        assert cube[n, n, n] == count_partitions(n)
     for n in range(1, 25):
         hist = np.zeros((n + 1, n + 1), dtype=np.int64)
         for p in partitions(n):
             hist[p[0], len(p)] += 1
         cumulative = hist.cumsum(axis=0).cumsum(axis=1)
-        assert np.array_equal(cumulative, cube._data[n, :n + 1, :n + 1])
-    print("ACCEPTANCE 02 restricted-count structure: PASS")
+        assert np.array_equal(cumulative, cube[n, :n + 1, :n + 1])
+    t0 = time.perf_counter()
+    points = 0
+    for n in range(5, 201, 5):
+        for r in np.linspace(0, n, 5).astype(int).tolist():
+            for s in np.linspace(0, n, 5).astype(int).tolist():
+                assert cube[n, r, s] == count_restricted(n, r, s), (n, r, s)
+                points += 1
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE 02 restricted-count structure: PASS "
+          f"({points} Gaussian-binomial points in {elapsed:.2f}s)")
 
 
 def test_criterion_03_graphicality_equivalence():

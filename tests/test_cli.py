@@ -218,10 +218,22 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("sample", "--n", "10", "--count", "-1"), "count"),
     (("sample", "--n", "10", "--count", "-1", "--method", "boltzmann"), "count"),
     (("sample-surrogate", "--n", "10", "--count", "-1"), "count"),
+    (("sample", "--n", "-3"), "n must be"),
+    (("sample-surrogate", "--n", "0"), "n must be"),
+    (("sample-surrogate", "--n", "10", "--k", "0"), "k must be"),
+    (("wilf", "--n", "82", "--exact"), "cap"),
+    (("wilf", "--n", "41", "--exact"), "even"),
+    (("lemma1-grid", "--r-count", "1"), "--r-count"),
+    (("lemma1-grid", "--theta-count", "0"), "--theta-count"),
+    (("chernoff", "--j", "0", "--d", "0.5", "--samples", "10"), "j must be"),
+    (("chernoff", "--j", "0", "--beta", "2", "--samples", "10"), "j must be"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
-        "sample-surrogate-count-negative"])
+        "sample-surrogate-count-negative", "sample-n-negative", "sample-surrogate-n-0",
+        "sample-surrogate-k-0", "wilf-exact-beyond-cap", "wilf-exact-odd-n",
+        "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "chernoff-d-j-0",
+        "chernoff-beta-j-0"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -254,13 +266,36 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
     ("wilf", "--n", "600", "--samples", "0"),
     ("macdonald", "--n", "600", "--samples", "0"),
     ("tv", "--mc", "--n", "600", "--samples", "0"),
-], ids=["wilf", "macdonald", "tv-mc"])
+    ("tv", "--mc", "--n", "600", "--k", "0", "--samples", "10"),
+    ("wilf", "--n", "601", "--samples", "10"),
+    ("wilf", "--n", "0", "--samples", "10"),
+    ("macdonald", "--n", "0", "--samples", "10"),
+], ids=["wilf", "macdonald", "tv-mc", "tv-mc-k-0", "wilf-odd-n", "wilf-n-0", "macdonald-n-0"])
 def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 2
     assert out == ""
     assert "table n_max=" not in err
     assert not list(tmp_path.glob("*.ypt"))
+
+
+@pytest.mark.parametrize("argv, estimates", [
+    (("wilf", "--n", "2", "--samples", "1"), ("estimate",)),
+    (("macdonald", "--n", "1", "--samples", "10"), ("estimate", "self_dual")),
+    (("pk", "--n", "910", "--k", "1", "--samples", "1"), ("estimate",)),
+], ids=["wilf", "macdonald", "pk"])
+def test_monte_carlo_with_all_hits_or_none_counts_half_a_hit(capsys, tmp_path, monkeypatch,
+                                                            argv, estimates):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 0, err
+    (payload,) = check_json_lines(out)
+    for key in estimates:
+        est = payload[key]
+        samples = est["samples"]
+        assert est["method"] == "monte-carlo" and est["value"] in (0.0, 1.0)
+        half = 0.5 / samples
+        assert est["stderr"] == pytest.approx(math.sqrt(half * (1.0 - half) / samples), rel=1e-12)
 
 
 def run_python(code: str, cache_dir: Path, hash_seed: str = "0") -> subprocess.CompletedProcess:

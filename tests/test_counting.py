@@ -2,7 +2,6 @@ import math
 import multiprocessing
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from young.asymptotics import C, log_of_count
@@ -111,28 +110,16 @@ def test_largest_part_table_entries():
         table.entry(31, 3)
 
 
-def test_box_table_entries():
-    table = RestrictedCountTable.build(18, RestrictedCountTable.MODE_BOX)
-    for n in range(19):
-        for r in range(0, 19, 3):
-            for s in range(0, 19, 4):
-                assert table.entry(n, r, s) == count_restricted(n, r, s)
-
-
-@pytest.mark.parametrize("mode", [RestrictedCountTable.MODE_LARGEST,
-                                  RestrictedCountTable.MODE_BOX])
+@pytest.mark.parametrize("mode", [RestrictedCountTable.MODE_LARGEST])
 def test_table_cache_roundtrip(tmp_path, mode):
-    table = RestrictedCountTable.build(15, mode)
+    table = RestrictedCountTable.build(15)
     path = tmp_path / "t.ypt"
     table.save(path)
     loaded = RestrictedCountTable.load(path)
     assert loaded.mode == mode
     assert loaded.n_max == 15
-    if mode == RestrictedCountTable.MODE_LARGEST:
-        assert loaded.entry(15, 4) == table.entry(15, 4)
-        assert loaded.row(10) == table.row(10)
-    else:
-        assert loaded.entry(15, 4, 7) == table.entry(15, 4, 7)
+    assert loaded.entry(15, 4) == table.entry(15, 4)
+    assert loaded.row(10) == table.row(10)
 
 
 def test_table_cache_rejects_garbage(tmp_path):
@@ -149,19 +136,14 @@ def test_load_or_build_uses_cache(tmp_path):
     assert second.row(12) == first.row(12)
 
 
-@pytest.mark.parametrize("n_max, mode", [(910, RestrictedCountTable.MODE_LARGEST),
-                                         (15, RestrictedCountTable.MODE_BOX)])
+@pytest.mark.parametrize("n_max, mode", [(910, RestrictedCountTable.MODE_LARGEST)])
 def test_table_cache_roundtrip_is_exact(tmp_path, n_max, mode):
-    table = RestrictedCountTable.build(n_max, mode)
+    table = RestrictedCountTable.build(n_max)
     path = tmp_path / "t.ypt"
     table.save(path)
     loaded = RestrictedCountTable.load(path)
     assert (loaded.mode, loaded.n_max) == (mode, n_max)
-    if mode == RestrictedCountTable.MODE_LARGEST:
-        assert [loaded.row(v) for v in range(n_max + 1)] == \
-            [table.row(v) for v in range(n_max + 1)]
-    else:
-        assert np.array_equal(loaded._data, table._data)
+    assert [loaded.row(v) for v in range(n_max + 1)] == [table.row(v) for v in range(n_max + 1)]
 
 
 def test_table_load_rejects_damaged_file(tmp_path, damaged_cache):

@@ -7,6 +7,7 @@ from young.counting import RestrictedCountTable, count_partitions
 from young.partitions import (
     DegreePair,
     Partition,
+    _conjugate,
     _nash_williams,
     conjugate,
     dominates,
@@ -64,6 +65,18 @@ def test_conjugate_involution_exhaustive():
             dual = conjugate(parts)
             assert dual.n == n
             assert conjugate(dual).parts == parts
+
+
+def test_conjugate_prefix_matches_the_full_conjugate():
+    # every k up to n + 2, so the prefix runs past parts[0] and is padded with 0
+    for n in range(21):
+        for parts in partitions(n):
+            full = _conjugate(parts)
+            assert full == tuple(sum(1 for x in parts if x >= j)
+                                 for j in range(1, (parts[0] if parts else 0) + 1))
+            padded = full + (0,) * (n + 2)
+            for k in range(n + 3):
+                assert _conjugate(parts, k) == padded[:k], (parts, k)
 
 
 @pytest.mark.parametrize("given,expected", [

@@ -46,9 +46,6 @@ def test_exact_sampler_basics(table30):
         assert p.n == 30
     with pytest.raises(ValueError, match="too small"):
         sample_uniform_exact(31, RngStream(0), table30)
-    box = RestrictedCountTable.build(10, RestrictedCountTable.MODE_BOX)
-    with pytest.raises(ValueError, match="mode"):
-        sample_uniform_exact(5, RngStream(0), box)
 
 
 def test_exact_sampler_reproducible(table30):
