@@ -31,8 +31,8 @@ C = CONSTANTS.c
 # larger constant would not mask a regression.
 BAND_CONSTANT = 5.0
 
-# Default wedge half-aperture for the Euler-product expansion: |Im u| may be
-# at most this fraction of Re u.
+# Wedge half-aperture for the Euler-product expansion: |Im u| may be at most
+# this fraction of Re u.
 FREIMAN_WEDGE_RATIO = 0.1
 
 
@@ -102,18 +102,17 @@ def _euler_terms_needed(re_u: float, tail: float = 1e-14) -> int:
     return max(int(math.ceil(t)), 1)
 
 
-def freiman_lhs(u: complex, terms: int | None = None,
-                wedge_ratio: float = FREIMAN_WEDGE_RATIO) -> complex:
+def freiman_lhs(u: complex, terms: int | None = None) -> complex:
     """log of the Euler product at q = e^{-u}, truncated to machine accuracy.
 
-    u must lie in the wedge Re u > 0, |Im u| <= wedge_ratio * Re u.  With
-    terms=None the truncation point is chosen so the dropped tail is below
-    1e-14; an explicit terms value that leaves a larger tail raises.
+    u must lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
+    With terms=None the truncation point is chosen so the dropped tail is
+    below 1e-14; an explicit terms value that leaves a larger tail raises.
     """
     u = complex(u)
     if u.real <= 0:
         raise ValueError("Re u must be positive")
-    if abs(u.imag) > wedge_ratio * u.real:
+    if abs(u.imag) > FREIMAN_WEDGE_RATIO * u.real:
         raise ValueError("u outside the wedge |Im u| <= ratio * Re u")
     needed = _euler_terms_needed(u.real)
     if terms is None:

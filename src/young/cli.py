@@ -4,6 +4,14 @@ output, reproducible seeds.
 stdout carries data only; logs and timing go to stderr.  With identical
 flags and seed the emitted body is byte-identical run to run.  Exit codes:
 0 success, 2 validation error, 3 cache or I/O error.
+
+Output formats, the default first; `--format` exists only where there are two:
+
+- count, count-restricted, bound: text, json
+- asymptotic: json, text
+- lemma1-grid: csv, json
+- freiman-sweep: csv
+- sample, sample-surrogate, wilf, macdonald, pk, chernoff, tv: json
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -137,7 +144,7 @@ def _require_at_least(name: str, value: int, low: int) -> None:
 
 
 def cmd_sample(args) -> int:
-    _require_at_least("n", args.n, 0 if args.method == "exact" else 1)
+    _require_at_least("n", args.n, 1)
     _require_at_least("count", args.count, 0)
     stream = _stream(args)
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
@@ -175,10 +182,11 @@ def cmd_sample_surrogate(args) -> int:
 
 def cmd_wilf(args) -> int:
     t0 = time.perf_counter()
+    _require_at_least("n", args.n, 2)
     payload = {"op": "wilf", "n": args.n,
                "bound_011": asymptotics.headline_bound(args.n, 0.11) if args.n >= 16 else None}
     if args.exact:
-        graphical, total = experiments.wilf_graphical_counts(args.n, processes=args.threads)
+        graphical, total = experiments.wilf_graphical_counts(args.n)
         payload.update({"mode": "exact", "graphical": str(graphical), "total": str(total),
                         "estimate": experiments._exact_estimate(graphical / total, total).to_dict()})
     else:
@@ -236,6 +244,7 @@ def cmd_chernoff(args) -> int:
 
 
 def cmd_tv(args) -> int:
+    _require_at_least("n", args.n, 2)
     if args.mc:
         experiments._require_mc_args(args.n, args.samples, args.k)
         table = _load_table(args.n, args)
@@ -260,7 +269,7 @@ def cmd_tv(args) -> int:
     return 0
 
 
-def _add_common(sub, *, seed=False, samples=None, cache=False, fmt="json"):
+def _add_common(sub, *, seed=False, samples=None, cache=False, formats=()):
     if seed:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--stream", type=int, default=0)
@@ -269,7 +278,8 @@ def _add_common(sub, *, seed=False, samples=None, cache=False, fmt="json"):
     if cache:
         sub.add_argument("--cache-dir", default=None,
                          help="count-table cache directory (default: $YOUNG_CACHE_DIR)")
-    sub.add_argument("--format", choices=["json", "csv", "text"], default=fmt)
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="exact p(n)")
     sub.add_argument("--n", type=int, required=True)
-    _add_common(sub, fmt="text")
+    _add_common(sub, formats=("text", "json"))
     sub.set_defaults(func=cmd_count)
 
     sub = subs.add_parser("count-restricted", help="exact count with bounded part and count")
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=int, required=True)
     sub.add_argument("--oracle", action="store_true", help="use the product-formula oracle")
     sub.add_argument("--limit", type=int, default=200, help="oracle truncation bound")
-    _add_common(sub, fmt="text")
+    _add_common(sub, formats=("text", "json"))
     sub.set_defaults(func=cmd_count_restricted)
 
     sub = subs.add_parser("asymptotic", help="closed-form evaluators")
@@ -298,13 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument("--h", type=float, default=None)
     sub.add_argument("--w", type=float, default=None)
-    _add_common(sub)
+    _add_common(sub, formats=("json", "text"))
     sub.set_defaults(func=cmd_asymptotic)
 
     sub = subs.add_parser("freiman-sweep", help="remainder of the Euler-product expansion")
     sub.add_argument("--re-values", default="0.2,0.1,0.05,0.025")
     sub.add_argument("--imag-ratio", type=float, default=0.0)
-    _add_common(sub, fmt="csv")
     sub.set_defaults(func=cmd_freiman_sweep)
 
     sub = subs.add_parser("lemma1-grid", help="product magnitude bound over an (r, theta) grid")
@@ -312,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r-max", type=float, default=0.999)
     sub.add_argument("--r-count", type=int, default=20)
     sub.add_argument("--theta-count", type=int, default=20)
-    _add_common(sub, fmt="csv")
+    _add_common(sub, formats=("csv", "json"))
     sub.set_defaults(func=cmd_lemma1_grid)
 
     sub = subs.add_parser("bound", help="slow-decay probability bound")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--constant", type=float, default=0.11)
-    _add_common(sub, fmt="text")
+    _add_common(sub, formats=("text", "json"))
     sub.set_defaults(func=cmd_bound)
 
     sub = subs.add_parser("sample", help="random partitions, one JSON array per line")
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("wilf", help="fraction of graphical partitions")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--exact", action="store_true")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, help="ignored: the exact sweep runs in one process")
     _add_common(sub, seed=True, samples=1_000_000, cache=True)
     sub.set_defaults(func=cmd_wilf)
 

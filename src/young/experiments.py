@@ -6,8 +6,8 @@ Monte Carlo estimators carry full provenance (seed, stream, sample count) and
 exact estimators carry stderr 0, so results serialize into comparable
 records.
 
-numpy and multiprocessing are imported only inside the functions that use
-them, so the exact and pure-Python experiments start without either.
+numpy is imported only inside the functions that use it, so the exact and
+pure-Python experiments start without it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Literal
 
 from .asymptotics import C, hardy_ramanujan_log
 from .counting import RestrictedCountTable, count_partitions
-from .partitions import _conjugate, _dominates, _nash_williams, partitions, partitions_with_largest
+from .partitions import _conjugate, _dominates, _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
 
 if TYPE_CHECKING:
@@ -56,9 +56,9 @@ class Estimate:
         }
 
 
-def _exact_estimate(value: float, samples: int, method: Method = "exact-enumeration") -> Estimate:
+def _exact_estimate(value: float, samples: int) -> Estimate:
     return Estimate(value=value, stderr=0.0, samples=samples, seed=0, stream_id=0,
-                    method=method)
+                    method="exact-enumeration")
 
 
 def _require_samples(samples: int) -> None:
@@ -67,8 +67,8 @@ def _require_samples(samples: int) -> None:
 
 
 def _require_mc_args(n: int, samples: int, k: int = 1) -> None:
-    """Reject the arguments of a Monte Carlo experiment on the diagram before
-    any table is built or any output written; the CLI calls it first too."""
+    """Reject the arguments of a Monte Carlo experiment before any table is
+    built or any output written; the CLI calls it first too."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
@@ -119,40 +119,21 @@ class FractionSeries:
 WILF_EXACT_CAP = 80
 
 
-def _wilf_largest_chunk(args: tuple[int, int]) -> tuple[int, int]:
-    n, largest = args
-    graphical = 0
-    total = 0
-    check = _nash_williams
-    for parts in partitions_with_largest(n, largest):
-        total += 1
-        if check(parts):
-            graphical += 1
-    return graphical, total
-
-
-def wilf_graphical_counts(n: int, processes: int = 1) -> tuple[int, int]:
+def wilf_graphical_counts(n: int) -> tuple[int, int]:
     """(graphical, total) over every partition of even n <= WILF_EXACT_CAP,
-    by exhaustive sweep.
-
-    The sweep splits by largest part, so it parallelizes across processes
-    with order-independent aggregation.
-    """
+    by exhaustive sweep."""
     _require_even(n)
     if n > WILF_EXACT_CAP:
         raise ValueError(f"n={n} beyond enumeration cap {WILF_EXACT_CAP}; use wilf_fraction_mc")
     if n == 0:
         return 1, 1
-    tasks = [(n, m) for m in range(n, 0, -1)]
-    if processes > 1:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(processes) as pool:
-            results = pool.map(_wilf_largest_chunk, tasks)
-    else:
-        results = [_wilf_largest_chunk(t) for t in tasks]
-    graphical = sum(g for g, _ in results)
-    total = sum(t for _, t in results)
+    graphical = 0
+    total = 0
+    check = _nash_williams
+    for parts in partitions(n):
+        total += 1
+        if check(parts):
+            graphical += 1
     return graphical, total
 
 
@@ -284,9 +265,7 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
     import numpy as np
 
     ks = sorted(set(int(k) for k in ks))
-    if ks[0] < 1:
-        raise ValueError("k must be positive")
-    _require_samples(samples)
+    _require_mc_args(n, samples, ks[0])
     rng = _require_stream(rng)
     gen = rng.generator()
     kmax = ks[-1]
@@ -473,7 +452,11 @@ def _box_pmf_sweep(n: int, width: int) -> np.ndarray:
     return pmf
 
 
-def tv_distance_k1(n: int, leak_budget: float = 1e-6) -> TvExact:
+# Largest mass either law of tv_distance_k1 may leave outside its window.
+TV_LEAK_BUDGET = 1e-6
+
+
+def tv_distance_k1(n: int) -> TvExact:
     """TV distance between the exact law of (largest part, part count) and the
     independent-exponential surrogate at k=1.
 
@@ -481,7 +464,7 @@ def tv_distance_k1(n: int, leak_budget: float = 1e-6) -> TvExact:
     has closed-form cell probabilities, and the exact law comes from the box
     count sweep normalized by p(n).  Mass outside the window is accounted
     through closed-form tails (model side) and the sweep residual (exact
-    side); an error is raised when more than leak_budget is unaccounted in
+    side); an error is raised when more than TV_LEAK_BUDGET is unaccounted in
     either law.
     """
     import numpy as np
@@ -491,7 +474,7 @@ def tv_distance_k1(n: int, leak_budget: float = 1e-6) -> TvExact:
     if hardy_ramanujan_log(n) > 700.0:
         raise ValueError("n too large for float64 counts (log p(n) > 700)")
     scale = math.sqrt(n) / C
-    tail_target = leak_budget / 100.0
+    tail_target = TV_LEAK_BUDGET / 100.0
     width = int(math.ceil(scale * math.log(scale / tail_target)))
     p_n = float(count_partitions(n))
 
@@ -509,9 +492,9 @@ def tv_distance_k1(n: int, leak_budget: float = 1e-6) -> TvExact:
 
     nonpositive = 1.0 - (1.0 - below) ** 2
     leak_model = (1.0 - below) ** 2 - in_range**2
-    if leak_true > leak_budget or leak_model > leak_budget:
+    if leak_true > TV_LEAK_BUDGET or leak_model > TV_LEAK_BUDGET:
         raise ValueError(
-            f"window leaves unaccounted mass beyond {leak_budget}: "
+            f"window leaves unaccounted mass beyond {TV_LEAK_BUDGET}: "
             f"true {leak_true:.3g}, model {leak_model:.3g}")
 
     core = float(np.abs(pmf_true[1:, 1:] - pmf_model).sum())
@@ -528,21 +511,23 @@ class TvMc:
 
 
 def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTable,
-                   clip: int | None = None, compare_with: str = "surrogate") -> TvMc:
+                   compare_with: str = "surrogate") -> TvMc:
     """Plug-in TV lower bound between empirical joint laws of the k largest
     parts and k largest dual parts, sampled exactly and from the surrogate.
 
-    Joint outcomes bin into integer cells clipped to [0, clip]; coarsening
+    Joint outcomes bin into integer cells clipped to [0, clip], with
+    clip = ceil(3 sqrt(n)/c log n) and n >= 2 so that clip >= 1; coarsening
     can only lower the estimate, so the reported value is a lower bound on
     the true distance.  stderr is the conservative null scale
     sqrt(cells / (2 samples)) / sqrt(2).  compare_with="self" replaces the
     surrogate with a second independent exact stream, a null check whose
     distance should sit at the noise floor.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     _require_mc_args(n, samples, k)
     rng = _require_stream(rng)
-    if clip is None:
-        clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))
+    clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))
     if compare_with not in ("surrogate", "self"):
         raise ValueError("compare_with must be 'surrogate' or 'self'")
 

@@ -290,7 +290,7 @@ def partitions_with_largest(n: int, largest: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n whose first part is exactly `largest`.
 
     Splitting an exhaustive sweep by largest part gives disjoint ranges that
-    cover all of the partitions of n, so sweeps can run in parallel.
+    cover all of the partitions of n.
     """
     if largest > n or largest < 1:
         if n == 0 and largest == 0:

@@ -89,6 +89,53 @@ def test_lemma1_grid(capsys):
     assert all(row["holds"] == "1" for row in rows)
 
 
+# fmt None: a --format value the subcommand does not emit, rejected by argparse
+@pytest.mark.parametrize("argv, fmt", [
+    (("count", "--n", "10", "--format", "csv"), None),
+    (("count-restricted", "--n", "4", "--r", "2", "--s", "2", "--format", "csv"), None),
+    (("bound", "--n", "910", "--format", "csv"), None),
+    (("asymptotic", "--n", "100", "--format", "csv"), None),
+    (("lemma1-grid", "--r-count", "2", "--theta-count", "2", "--format", "text"), None),
+    (("freiman-sweep", "--format", "csv"), None),
+    (("sample", "--n", "4", "--format", "json"), None),
+    (("sample-surrogate", "--n", "4", "--format", "json"), None),
+    (("wilf", "--n", "4", "--exact", "--format", "json"), None),
+    (("macdonald", "--n", "2", "--exact", "--format", "json"), None),
+    (("pk", "--n", "4", "--k", "1", "--samples", "10", "--format", "json"), None),
+    (("chernoff", "--j", "5", "--d", "0.3", "--samples", "10", "--format", "json"), None),
+    (("tv", "--n", "64", "--format", "json"), None),
+    (("count", "--n", "10"), "text"),
+    (("count", "--n", "10", "--format", "json"), "json"),
+    (("count-restricted", "--n", "4", "--r", "2", "--s", "2"), "text"),
+    (("count-restricted", "--n", "4", "--r", "2", "--s", "2", "--format", "json"), "json"),
+    (("bound", "--n", "910"), "text"),
+    (("bound", "--n", "910", "--format", "json"), "json"),
+    (("asymptotic", "--n", "100"), "json"),
+    (("asymptotic", "--n", "100", "--format", "text"), "text"),
+    (("lemma1-grid", "--r-count", "2", "--theta-count", "2"), "csv"),
+    (("lemma1-grid", "--r-count", "2", "--theta-count", "2", "--format", "json"), "json"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else (v or "rejected"))
+def test_format_choices_are_the_formats_emitted(capsys, argv, fmt):
+    if fmt is None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format" in captured.err
+        return
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if fmt == "json":
+        (payload,) = check_json_lines(out)
+        assert payload["op"] == argv[0]
+    elif fmt == "text":
+        (line,) = out.splitlines()
+        float(line)
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4 and "holds" in rows[0]
+
+
 def test_bound(capsys):
     code, out, _ = run_cli(capsys, "bound", "--n", "910", "--constant", "0.11")
     assert code == 0
@@ -227,13 +274,17 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("lemma1-grid", "--theta-count", "0"), "--theta-count"),
     (("chernoff", "--j", "0", "--d", "0.5", "--samples", "10"), "j must be"),
     (("chernoff", "--j", "0", "--beta", "2", "--samples", "10"), "j must be"),
+    (("sample", "--n", "0"), "n must be"),
+    (("pk", "--n", "0", "--k", "1", "--samples", "10"), "n must be"),
+    (("wilf", "--n", "0", "--exact"), "n must be"),
+    (("tv", "--mc", "--n", "1", "--k", "1", "--samples", "10"), "n must be"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
         "sample-surrogate-count-negative", "sample-n-negative", "sample-surrogate-n-0",
         "sample-surrogate-k-0", "wilf-exact-beyond-cap", "wilf-exact-odd-n",
         "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "chernoff-d-j-0",
-        "chernoff-beta-j-0"])
+        "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -313,9 +364,10 @@ def run_python(code: str, cache_dir: Path, hash_seed: str = "0") -> subprocess.C
     ("macdonald", "--n", "20", "--samples", "50"),
     ("count-restricted", "--n", "150", "--r", "20", "--s", "30"),
     ("wilf", "--n", "20", "--exact", "--threads", "1"),
+    ("wilf", "--n", "20", "--exact"),
     ("lemma1-grid", "--r-count", "3", "--theta-count", "3"),
 ], ids=["import", "sample", "wilf", "macdonald", "count-restricted", "wilf-exact",
-        "lemma1-grid"])
+        "wilf-exact-default-threads", "lemma1-grid"])
 def test_exact_calls_start_without_numpy(tmp_path, argv):
     call = "" if argv is None else f"assert young.cli.main({list(argv)!r}) == 0; "
     code = (f"import sys, young.cli; {call}"

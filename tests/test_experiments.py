@@ -20,7 +20,6 @@ from young.experiments import (
     tv_distance_mc,
     wilf_fraction_exact,
     wilf_fraction_mc,
-    wilf_graphical_counts,
     wilf_series,
 )
 from young.partitions import partitions
@@ -51,10 +50,6 @@ def test_wilf_exact_small_values():
         wilf_fraction_exact(9)
     with pytest.raises(ValueError, match="cap"):
         wilf_fraction_exact(82)
-
-
-def test_wilf_process_split_agrees():
-    assert wilf_graphical_counts(24, processes=2) == wilf_graphical_counts(24, processes=1)
 
 
 def test_wilf_exact_mc_agreement(table60):
