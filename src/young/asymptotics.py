@@ -142,27 +142,38 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     Returns (lhs, rhs) with lhs = log|product at re^{i theta}| and
     rhs = log(product at r) - alpha r theta^2 / ((1-r)((1-r)^2 + 2 r alpha theta^2)).
     The inequality lhs <= rhs is what callers assert.  Values are logs because
-    the product itself overflows doubles as r -> 1.
+    the product itself overflows doubles as r -> 1.  Both sums take each term
+    as log(1 - r^k) rounds it at theta = 0, so there lhs equals rhs exactly.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    log, exp = math.log, cmath.exp
     log_p_r = 0.0
     log_abs_pq = 0.0
     for k in range(1, terms + 1):
         rk = r**k
-        log_p_r -= math.log1p(-rk)
-        log_abs_pq -= math.log(abs(1.0 - rk * cmath.exp(1j * k * theta)))
+        log_p_r -= log(1.0 - rk)
+        log_abs_pq -= log(abs(1.0 - rk * exp(1j * k * theta)))
     alpha = CONSTANTS.alpha
     decay = alpha * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * alpha * theta**2))
     return log_abs_pq, log_p_r - decay
 
 
 def headline_bound(n: int, constant: float = 0.11) -> float:
-    """exp(-constant * log n / log log n), the slow-decay probability bound."""
+    """exp(-constant * log n / log log n), the slow-decay probability bound.
+
+    The constant must be finite and nonnegative, and the bound must not
+    underflow to 0, so a returned bound lies in (0, 1].
+    """
     if n < 16:
         raise ValueError("n must be at least 16 so that log log n exceeds 1")
-    return math.exp(-constant * math.log(n) / math.log(math.log(n)))
+    if not 0.0 <= constant < math.inf:
+        raise ValueError("constant must be finite and nonnegative")
+    value = math.exp(-constant * math.log(n) / math.log(math.log(n)))
+    if value == 0.0:
+        raise ValueError("constant too large: the bound underflows to 0")
+    return value
 
 
 def rousseau_ali_lower(k: int) -> float:

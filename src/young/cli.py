@@ -66,7 +66,12 @@ def cmd_count_restricted(args) -> int:
     if args.oracle:
         value = counting.coeff_from_product(args.n, args.r, args.s, limit=args.limit)
     else:
+        t0 = time.perf_counter()
         value = counting.count_restricted(args.n, args.r, args.s)
+        elapsed = time.perf_counter() - t0
+        passes, terms = counting.count_restricted_plan(args.n, args.r, args.s)
+        _log(f"count-restricted n={args.n} r={args.r} s={args.s} passes={passes} "
+             f"terms={terms} ready in {elapsed:.2f}s")
     if args.format == "json":
         _emit_json({"op": "count-restricted", "n": args.n, "r": args.r, "s": args.s,
                     "oracle": bool(args.oracle), "value": str(value)})

@@ -126,6 +126,13 @@ def test_lemma1_theta_zero_is_equality():
     assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.999 + 0.0001 * i for i in range(10)])
+def test_lemma1_theta_zero_is_exact_equality_near_one(r):
+    # lhs and rhs are sums of ~1e5 logs; they must round alike term by term
+    lhs, rhs = lemma1_bound_check(r, 0.0)
+    assert lhs == rhs
+
+
 @pytest.mark.parametrize("r,theta", [(0.9, 0.5), (0.99, math.pi), (0.6, -2.0)])
 def test_lemma1_bound_holds(r, theta):
     lhs, rhs = lemma1_bound_check(r, theta)
@@ -155,6 +162,9 @@ def test_headline_bound():
     assert headline_bound(910, 0.0) == 1.0
     with pytest.raises(ValueError):
         headline_bound(15)
+    for constant in (-5.0, -1e-300, math.nan, math.inf, 1000.0):
+        with pytest.raises(ValueError, match="constant"):
+            headline_bound(20, constant)
     # strictly decreasing in n and in the constant
     values = [headline_bound(n) for n in (16, 100, 1000, 10**6)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,25 @@ def test_lemma1_grid(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 9
     assert all(row["holds"] == "1" for row in rows)
+
+
+def test_lemma1_grid_holds_at_its_equality_case(capsys):
+    # at theta = 0 both sides are the same sum, so rounding must not break the 1e-12 check
+    code, out, _ = run_cli(capsys, "lemma1-grid", "--r-min", "0.9990225", "--r-max", "0.9991125",
+                           "--r-count", "2", "--theta-count", "2", "--format", "json")
+    assert code == 0
+    (payload,) = check_json_lines(out)
+    assert payload == {"op": "lemma1-grid", "points": 4, "all_hold": True}
+
+
+def test_count_restricted_logs_its_plan(capsys):
+    code, out, err = run_cli(capsys, "count-restricted", "--n", "150", "--r", "20", "--s", "30",
+                             "--format", "json")
+    assert code == 0
+    assert out == ('{"n": 150, "op": "count-restricted", "oracle": false, "r": 20, "s": 30, '
+                   '"value": "4086658895"}\n')
+    assert re.fullmatch(r"count-restricted n=150 r=20 s=30 passes=20 terms=5 ready in "
+                        r"\d+\.\d\ds\n", err)
 
 
 # fmt None: a --format value the subcommand does not emit, rejected by argparse
@@ -278,13 +298,19 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("pk", "--n", "0", "--k", "1", "--samples", "10"), "n must be"),
     (("wilf", "--n", "0", "--exact"), "n must be"),
     (("tv", "--mc", "--n", "1", "--k", "1", "--samples", "10"), "n must be"),
+    (("bound", "--n", "20", "--constant", "-5", "--format", "json"), "constant"),
+    (("bound", "--n", "20", "--constant", "nan", "--format", "json"), "constant"),
+    (("bound", "--n", "20", "--constant", "inf", "--format", "json"), "constant"),
+    (("bound", "--n", "20", "--constant", "1000", "--format", "json"), "constant"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
         "sample-surrogate-count-negative", "sample-n-negative", "sample-surrogate-n-0",
         "sample-surrogate-k-0", "wilf-exact-beyond-cap", "wilf-exact-odd-n",
         "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "chernoff-d-j-0",
-        "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1"])
+        "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1",
+        "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
+        "bound-constant-underflow"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)

@@ -11,6 +11,7 @@ from young.counting import (
     coeff_from_product,
     count_partitions,
     count_restricted,
+    count_restricted_plan,
     joint_tail,
     load_or_build,
 )
@@ -78,6 +79,66 @@ def test_large_query_uses_exact_polynomial_path():
     # every query takes the Gaussian-binomial path; it must agree with the oracle
     assert count_restricted(250, 30, 20) == coeff_from_product(250, 30, 20, limit=250)
     assert count_restricted(150, 40, 37) == _gaussian_coeff(150, 40, 37)
+
+
+def _gaussian_coeffs_by_passes(n_max, r, s):
+    # reference: the s multiply/divide passes that the q-binomial split replaced;
+    # entry n is [q^n] C(r+s, s)_q, the count of partitions of n in an r x s box
+    coeffs = [0] * (n_max + 1)
+    coeffs[0] = 1
+    for i in range(1, s + 1):
+        d = r + i
+        if d <= n_max:
+            for v in range(n_max, d - 1, -1):
+                coeffs[v] -= coeffs[v - d]
+        for v in range(i, n_max + 1):
+            coeffs[v] += coeffs[v - i]
+    return coeffs
+
+
+def test_count_restricted_matches_pass_loop_on_small_boxes():
+    for r in range(31):
+        for s in range(r + 1):
+            want = _gaussian_coeffs_by_passes(80, r, s)
+            for n in range(81):
+                assert count_restricted(n, r, s) == want[n], (n, r, s)
+                assert count_restricted(n, s, r) == want[n], (n, s, r)
+
+
+@pytest.mark.parametrize("n, r, s", [(100, 10, 10), (98, 10, 10), (60, 12, 5), (55, 11, 5),
+                                     (900, 30, 30), (880, 40, 22), (12, 4, 3)])
+def test_count_restricted_with_more_terms_than_half_the_passes(n, r, s):
+    # past s/2 terms the factor P_j appears after its partner P_{s-j}
+    passes, terms = count_restricted_plan(n, r, s)
+    assert passes == min(r, s) and terms - 1 > passes / 2
+    assert count_restricted(n, r, s) == _gaussian_coeffs_by_passes(n, r, s)[n]
+    assert count_restricted(n, s, r) == count_restricted(n, r, s)
+
+
+def test_count_restricted_plan():
+    assert count_restricted_plan(10000, 300, 400) == (300, 25)
+    assert count_restricted_plan(150, 30, 20) == (20, 5)
+    assert count_restricted_plan(0, 5, 5) == (0, 0)
+    assert count_restricted_plan(9, 2, 2) == (0, 0)
+    assert count_restricted_plan(5, 9, 9) == (5, 1)
+    with pytest.raises(ValueError):
+        count_restricted_plan(-1, 2, 2)
+
+
+def test_count_restricted_long_strides_give_p_n():
+    # at t*t > 9n the divide passes run block by block
+    assert count_restricted(3000, 3000, 3000) == count_partitions(3000)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 500, 1234, 1499, 1500])
+def test_count_restricted_box_complement(n):
+    r, s = 60, 50
+    assert count_restricted(n, r, s) == count_restricted(r * s - n, r, s)
+
+
+@pytest.mark.parametrize("n, r, s", [(2500, 200, 150), (10000, 400, 300)])
+def test_count_restricted_matches_pass_loop_at_scale(n, r, s):
+    assert count_restricted(n, s, r) == _gaussian_coeffs_by_passes(n, r, s)[n]
 
 
 def test_joint_tail_small_exact():
