@@ -1,82 +1,8 @@
-"""Exact counting, asymptotics and random sampling for integer partitions."""
+"""Exact counting, asymptotics and random sampling for integer partitions.
 
-from .asymptotics import (
-    CONSTANTS,
-    AsymptoticConstants,
-    freiman_lhs,
-    freiman_main_term,
-    freiman_remainder,
-    hardy_ramanujan,
-    hardy_ramanujan_log,
-    headline_bound,
-    lemma1_bound_check,
-    log_of_count,
-    restricted_asymptotic,
-    restricted_asymptotic_log,
-    rousseau_ali_lower,
-    slant_bounds,
-)
-from .counting import (
-    JointTail,
-    RestrictedCountTable,
-    coeff_from_product,
-    count_partitions,
-    count_restricted,
-    joint_tail,
-    load_or_build,
-)
-from .experiments import (
-    BoundCheck,
-    Estimate,
-    FractionRow,
-    FractionSeries,
-    MacdonaldMC,
-    TvExact,
-    TvMc,
-    chernoff_bounds,
-    chernoff_validate,
-    macdonald_comparable_exact,
-    macdonald_comparable_mc,
-    ratio_bound,
-    ratio_bound_validate,
-    surrogate_event_pk,
-    surrogate_event_pk_curve,
-    tv_distance_k1,
-    tv_distance_mc,
-    wilf_fraction_exact,
-    wilf_fraction_mc,
-    wilf_graphical_counts,
-    wilf_series,
-)
-from .partitions import (
-    DegreePair,
-    Partition,
-    conjugate,
-    dominates,
-    durfee,
-    enumerate_partitions,
-    erdos_gallai_graphical,
-    gale_ryser_bipartite,
-    havel_hakimi_realizable,
-    nash_williams_graphical,
-    partitions,
-    partitions_with_largest,
-)
-from .sampling import (
-    BoltzmannStats,
-    OverflowBounds,
-    RngStream,
-    SurrogateDraw,
-    boltzmann_acceptance_rate,
-    overflow_empirical,
-    sample_boltzmann,
-    sample_boltzmann_batch,
-    sample_surrogate,
-    sample_uniform_exact,
-    slanted_heights,
-    surrogate_batch,
-    surrogate_overflow_bounds,
-    surrogate_tie_probability,
-)
+The package imports none of its modules, so a command-line call loads only
+what its subcommand runs; import from the modules themselves, e.g.
+`from young.counting import count_partitions`.
+"""
 
 __version__ = "0.1.0"

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     """Constants of the sqrt(n) scaling of a random diagram."""
 
     c: float = math.pi / math.sqrt(6.0)
@@ -95,26 +94,41 @@ def restricted_asymptotic(n: int, h: float, w: float) -> float:
     return math.exp(restricted_asymptotic_log(n, h, w))
 
 
-def _euler_terms_needed(re_u: float, tail: float = 1e-14) -> int:
-    # geometric tail e^{-(T+1)x} / (1 - e^{-x}) < tail
+# Most terms freiman_lhs sums: about 4 s at 0.4 us per term (2-core x86 VM),
+# needed near Re u = 4.5e-6.
+FREIMAN_MAX_TERMS = 10**7
+
+
+def _euler_terms_needed(re_u: float, tail: float = 1e-14) -> int | float:
+    """Terms T whose dropped tail e^{-(T+1)x} / (1 - e^{-x}) is below tail, x = re_u;
+    inf where 1 - e^{-x} rounds to 0."""
     x = re_u
-    t = math.log((1.0 - math.exp(-x)) * tail) / (-x) - 1.0
+    gap = 1.0 - math.exp(-x)
+    if gap == 0.0:
+        return math.inf
+    t = math.log(gap * tail) / (-x) - 1.0
     return max(int(math.ceil(t)), 1)
 
 
 def freiman_lhs(u: complex, terms: int | None = None) -> complex:
     """log of the Euler product at q = e^{-u}, truncated to machine accuracy.
 
-    u must lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
+    u must be finite and lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
     With terms=None the truncation point is chosen so the dropped tail is
-    below 1e-14; an explicit terms value that leaves a larger tail raises.
+    below 1e-14; an explicit terms value that leaves a larger tail raises, and
+    so does a u whose tail needs more than FREIMAN_MAX_TERMS terms.
     """
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     if u.real <= 0:
         raise ValueError("Re u must be positive")
     if abs(u.imag) > FREIMAN_WEDGE_RATIO * u.real:
         raise ValueError("u outside the wedge |Im u| <= ratio * Re u")
     needed = _euler_terms_needed(u.real)
+    if needed > FREIMAN_MAX_TERMS:
+        raise ValueError(f"Re u = {u.real:.3g} needs {needed} terms for a 1e-14 tail, "
+                         f"more than the {FREIMAN_MAX_TERMS} that are summed")
     if terms is None:
         terms = needed
     elif terms < needed:

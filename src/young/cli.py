@@ -12,6 +12,12 @@ Output formats, the default first; `--format` exists only where there are two:
 - lemma1-grid: csv, json
 - freiman-sweep: csv
 - sample, sample-surrogate, wilf, macdonald, pk, chernoff, tv: json
+
+Every call is its own process, so each handler imports the modules that its
+subcommand runs, inside the handler, as numpy is imported inside the library
+functions that use it.  Only `asymptotics` is imported at the top; `experiments`
+loads only for wilf, macdonald, pk, chernoff and tv.  Handlers look functions
+up as module attributes at call time.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ import math
 import sys
 import time
 
-from . import asymptotics, counting, experiments, sampling
-from .partitions import Partition
+from . import asymptotics
 
 
 def _log(msg: str) -> None:
@@ -42,11 +47,15 @@ def _emit_csv(header: list[str], rows) -> None:
         writer.writerow(row)
 
 
-def _stream(args) -> sampling.RngStream:
+def _stream(args):
+    from . import sampling
+
     return sampling.RngStream(seed=args.seed, stream_id=args.stream)
 
 
-def _load_table(n: int, args) -> counting.RestrictedCountTable:
+def _load_table(n: int, args):
+    from . import counting
+
     t0 = time.perf_counter()
     table = counting.load_or_build(n, cache_dir=args.cache_dir)
     _log(f"table n_max={n} ready in {time.perf_counter() - t0:.2f}s")
@@ -54,6 +63,8 @@ def _load_table(n: int, args) -> counting.RestrictedCountTable:
 
 
 def cmd_count(args) -> int:
+    from . import counting
+
     value = counting.count_partitions(args.n)
     if args.format == "json":
         _emit_json({"op": "count", "n": args.n, "value": str(value)})
@@ -63,6 +74,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_count_restricted(args) -> int:
+    from . import counting
+
     if args.oracle:
         value = counting.coeff_from_product(args.n, args.r, args.s, limit=args.limit)
     else:
@@ -149,6 +162,9 @@ def _require_at_least(name: str, value: int, low: int) -> None:
 
 
 def cmd_sample(args) -> int:
+    from . import sampling
+    from .partitions import Partition
+
     _require_at_least("n", args.n, 1)
     _require_at_least("count", args.count, 0)
     stream = _stream(args)
@@ -169,6 +185,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sample_surrogate(args) -> int:
+    from . import sampling
+
     _require_at_least("n", args.n, 1)
     _require_at_least("k", args.k, 1)
     _require_at_least("count", args.count, 0)
@@ -186,6 +204,8 @@ def cmd_sample_surrogate(args) -> int:
 
 
 def cmd_wilf(args) -> int:
+    from . import experiments
+
     t0 = time.perf_counter()
     _require_at_least("n", args.n, 2)
     payload = {"op": "wilf", "n": args.n,
@@ -206,6 +226,8 @@ def cmd_wilf(args) -> int:
 
 
 def cmd_macdonald(args) -> int:
+    from . import experiments
+
     payload = {"op": "macdonald", "n": args.n,
                "bound_011": asymptotics.headline_bound(args.n, 0.11) if args.n >= 16 else None}
     if args.exact:
@@ -223,6 +245,8 @@ def cmd_macdonald(args) -> int:
 
 
 def cmd_pk(args) -> int:
+    from . import experiments
+
     est = experiments.surrogate_event_pk(args.n, args.k, args.samples, _stream(args))
     reference = None
     if args.k >= 16:
@@ -233,6 +257,8 @@ def cmd_pk(args) -> int:
 
 
 def cmd_chernoff(args) -> int:
+    from . import experiments
+
     if (args.d is None) == (args.beta is None):
         raise ValueError("give exactly one of --d or --beta")
     if args.d is not None:
@@ -249,6 +275,8 @@ def cmd_chernoff(args) -> int:
 
 
 def cmd_tv(args) -> int:
+    from . import experiments
+
     _require_at_least("n", args.n, 2)
     if args.mc:
         experiments._require_mc_args(args.n, args.samples, args.k)

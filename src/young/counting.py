@@ -16,12 +16,14 @@ import contextlib
 import marshal
 import os
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, chain
+from operator import add, getitem, mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import slant_bounds
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _pcache = [1]
 
@@ -171,8 +173,7 @@ def coeff_from_product(n: int, r: int, s: int, limit: int = 200) -> int:
     return coeffs[n]
 
 
-@dataclass(frozen=True)
-class JointTail:
+class JointTail(NamedTuple):
     """Exact tail probability P(largest part <= r, parts <= s) at derived bounds."""
 
     n: int
@@ -199,6 +200,8 @@ def joint_tail(n: int, h: float, w: float) -> JointTail:
     r, s = slant_bounds(n, h, w, rounding="ceil")
     if r <= 0 or s <= 0:
         raise ValueError("degenerate bounds: r and s must be >= 1")
+    from fractions import Fraction
+
     frac = Fraction(count_restricted(n, r, s), count_partitions(n))
     return JointTail(n=n, h=h, w=w, r=r, s=s, fraction=frac)
 
@@ -232,14 +235,16 @@ class RestrictedCountTable:
     def build(cls, n_max: int) -> "RestrictedCountTable":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        # row v accumulates entry(v - m, m) over m <= v/2, where v - m >= m,
+        # and then p(v - m) for the larger m, where v - m < m
         rows = [[1]]
+        totals = [1]
         for v in range(1, n_max + 1):
-            prev = rows
-            row = [0] * (v + 1)
-            for m in range(1, v + 1):
-                rest = v - m
-                row[m] = row[m - 1] + prev[rest][rest if rest < m else m]
+            h = v // 2
+            row = list(accumulate(chain(map(getitem, rows[v - 1:v - h - 1:-1], range(1, h + 1)),
+                                        totals[v - h - 1::-1]), initial=0))
             rows.append(row)
+            totals.append(row[v])
         return cls(n_max, rows)
 
     def entry(self, v: int, m: int) -> int:

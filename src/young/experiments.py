@@ -7,16 +7,15 @@ exact estimators carry stderr 0, so results serialize into comparable
 records.
 
 numpy is imported only inside the functions that use it, so the exact and
-pure-Python experiments start without it.
+pure-Python experiments start without it.  Likewise the command line imports
+this module only in the subcommands that run an experiment.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .asymptotics import C, hardy_ramanujan_log
 from .counting import RestrictedCountTable, count_partitions
@@ -24,15 +23,14 @@ from .partitions import _conjugate, _dominates, _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 Method = Literal["exact-enumeration", "exact-ratio", "monte-carlo"]
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """Point estimate with its sampling provenance."""
-
+class _EstimateFields(NamedTuple):
     value: float
     stderr: float
     samples: int
@@ -40,20 +38,21 @@ class Estimate:
     stream_id: int
     method: Method
 
-    def __post_init__(self):
-        exact = self.method != "monte-carlo"
-        if exact != (self.stderr == 0.0):
+
+class Estimate(_EstimateFields):
+    """Point estimate with its sampling provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, stderr: float, samples: int, seed: int, stream_id: int,
+                method: Method):
+        exact = method != "monte-carlo"
+        if exact != (stderr == 0.0):
             raise ValueError("stderr must be 0 exactly for exact methods")
+        return super().__new__(cls, value, stderr, samples, seed, stream_id, method)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "method": self.method,
-        }
+        return self._asdict()
 
 
 def _exact_estimate(value: float, samples: int) -> Estimate:
@@ -97,8 +96,7 @@ def _require_stream(rng) -> RngStream:
     return rng
 
 
-@dataclass(frozen=True)
-class FractionRow:
+class FractionRow(NamedTuple):
     n: int
     graphical: int | None
     total: int | None
@@ -108,11 +106,12 @@ class FractionRow:
     def fraction(self) -> Fraction | None:
         if self.graphical is None:
             return None
+        from fractions import Fraction
+
         return Fraction(self.graphical, self.total)
 
 
-@dataclass(frozen=True)
-class FractionSeries:
+class FractionSeries(NamedTuple):
     rows: tuple[FractionRow, ...]
 
 
@@ -213,8 +212,7 @@ def macdonald_comparable_exact(n: int) -> Estimate:
     return _exact_estimate(comparable / count**2, samples=count**2)
 
 
-@dataclass(frozen=True)
-class MacdonaldMC:
+class MacdonaldMC(NamedTuple):
     comparable: Estimate
     self_dual: Estimate
 
@@ -293,8 +291,7 @@ def chernoff_bounds(j: int, d: float) -> tuple[float, float]:
     return math.exp(j * (math.log1p(d) - d)), math.exp(-j * d * d / 2.0)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Empirical frequency of a tail event next to its analytic bound."""
 
     empirical: float
@@ -356,8 +353,7 @@ def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:
 # Total variation distance between the joint law of the largest part and
 # part count of a uniform partition and the k=1 surrogate law.
 
-@dataclass(frozen=True)
-class TvExact:
+class TvExact(NamedTuple):
     """Exact-structure TV computation over a truncated support window."""
 
     n: int
@@ -503,8 +499,7 @@ def tv_distance_k1(n: int) -> TvExact:
                    leak_model=leak_model, nonpositive_mass=nonpositive)
 
 
-@dataclass(frozen=True)
-class TvMc:
+class TvMc(NamedTuple):
     estimate: Estimate
     cells: int
     clip: int

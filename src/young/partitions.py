@@ -10,8 +10,7 @@ order with a constant-amortized-time successor rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class Partition:
@@ -67,8 +66,7 @@ class Partition:
         return list(self.parts)
 
 
-@dataclass(frozen=True)
-class DegreePair:
+class DegreePair(NamedTuple):
     """Candidate degree sequences for the two sides of a bipartite graph."""
 
     alpha: Partition

@@ -13,7 +13,8 @@ parallel without coordination.  A stream feeds two generators: exact draws
 take their ranks from a Mersenne Twister `random.Random`, which needs nothing
 beyond the standard library, and the array samplers (Boltzmann, surrogate,
 overflow) draw from a numpy PCG64 `Generator`.  numpy is imported only by the
-functions that build arrays.
+functions that build arrays, and the command line imports this module only in
+the subcommands that draw.
 """
 
 from __future__ import annotations
@@ -21,21 +22,20 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import C
-from .counting import RestrictedCountTable
 from .partitions import Partition
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .counting import RestrictedCountTable
+
 _MASK64 = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """Reproducible, splittable source of randomness.
 
     `source()` gives the Mersenne Twister `random.Random` that exact draws
@@ -143,8 +143,7 @@ def make_sampler(n: int, rng, table: RestrictedCountTable):
 # Boltzmann sampling: independent geometric multiplicities at q = e^{-c/sqrt n},
 # rejected unless the total weight is exactly n, which leaves the uniform law.
 
-@dataclass(frozen=True)
-class BoltzmannStats:
+class BoltzmannStats(NamedTuple):
     attempts: int
     accepted: int
 
@@ -184,14 +183,14 @@ def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
         mult = gen.geometric(probs, size=(chunk, len(weights)))
         mult -= 1
         totals = mult @ weights
-        attempts += chunk
-        for row in np.nonzero(totals == n)[0]:
+        hits = np.nonzero(totals == n)[0][:count - len(out)]
+        for row in hits:
             m = mult[row]
             sizes = np.nonzero(m)[0]
             parts = np.repeat(sizes[::-1] + 1, m[sizes][::-1])
             out.append(Partition(int(x) for x in parts))
-            if len(out) == count:
-                break
+        # the rows after the one that completes the batch are not attempts
+        attempts += chunk if len(out) < count else int(hits[-1]) + 1
     return out, BoltzmannStats(attempts=attempts, accepted=len(out))
 
 
@@ -209,8 +208,7 @@ def boltzmann_acceptance_rate(n: int, rng, accepted_target: int = 100) -> float:
 
 # Exponential-sums surrogate for the k tallest columns and k longest rows.
 
-@dataclass(frozen=True)
-class SurrogateDraw:
+class SurrogateDraw(NamedTuple):
     """One realization of the independent-exponential model of both extremities.
 
     sums and dual_sums are the increasing partial sums of unit-rate
@@ -288,8 +286,7 @@ def surrogate_tie_probability(n: int, k: int) -> float:
     return float(sum(-math.expm1(-x * (j - 1)) for j in range(2, k + 1)))
 
 
-@dataclass(frozen=True)
-class OverflowBounds:
+class OverflowBounds(NamedTuple):
     """Explicit tail bounds for the extreme partial sums of the surrogate."""
 
     n: int

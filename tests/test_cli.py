@@ -383,24 +383,46 @@ def run_python(code: str, cache_dir: Path, hash_seed: str = "0") -> subprocess.C
                           capture_output=True, timeout=120)
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ("sample", "--n", "30"),
-    ("wilf", "--n", "30", "--samples", "100"),
-    ("macdonald", "--n", "20", "--samples", "50"),
-    ("count-restricted", "--n", "150", "--r", "20", "--s", "30"),
-    ("wilf", "--n", "20", "--exact", "--threads", "1"),
-    ("wilf", "--n", "20", "--exact"),
-    ("lemma1-grid", "--r-count", "3", "--theta-count", "3"),
+# modules each call must not load besides numpy and multiprocessing: the CLI
+# imports a module only in the subcommands that run it
+_LIGHT = ("young.experiments", "dataclasses", "fractions")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, ("young.counting", "young.sampling", "young.experiments")),
+    (("sample", "--n", "30"), _LIGHT),
+    (("wilf", "--n", "30", "--samples", "100"), ()),
+    (("macdonald", "--n", "20", "--samples", "50"), ()),
+    (("count-restricted", "--n", "150", "--r", "20", "--s", "30"), _LIGHT),
+    (("wilf", "--n", "20", "--exact", "--threads", "1"), ()),
+    (("wilf", "--n", "20", "--exact"), ()),
+    (("lemma1-grid", "--r-count", "3", "--theta-count", "3"), _LIGHT),
 ], ids=["import", "sample", "wilf", "macdonald", "count-restricted", "wilf-exact",
         "wilf-exact-default-threads", "lemma1-grid"])
-def test_exact_calls_start_without_numpy(tmp_path, argv):
+def test_exact_calls_start_without_numpy(tmp_path, argv, unloaded):
     call = "" if argv is None else f"assert young.cli.main({list(argv)!r}) == 0; "
+    forbidden = {"numpy", "multiprocessing", *unloaded}
     code = (f"import sys, young.cli; {call}"
-            "loaded = {'numpy', 'multiprocessing'} & set(sys.modules); "
+            f"loaded = {forbidden!r} & set(sys.modules); "
             "assert not loaded, loaded")
     result = run_python(code, tmp_path)
     assert result.returncode == 0, result.stderr.decode()
+
+
+@pytest.mark.parametrize("value, word", [
+    ("1e-9", "needs 52959457167 terms"),
+    ("1e-20", "needs inf terms"),
+    ("inf", "finite"),
+    ("nan", "finite"),
+], ids=["tiny", "below-rounding", "inf", "nan"])
+def test_freiman_sweep_rejects_what_the_truncation_cannot_serve(tmp_path, value, word):
+    # in a child process with a timeout, so that a sweep summing 5e10 terms
+    # fails the test instead of hanging it
+    argv = ["freiman-sweep", "--re-values", value]
+    result = run_python(f"import sys, young.cli; sys.exit(young.cli.main({argv!r}))", tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert word in result.stderr.decode()
 
 
 def test_sample_streams_do_not_depend_on_the_hash_seed(tmp_path):

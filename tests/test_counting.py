@@ -159,6 +159,26 @@ def test_joint_tail_degenerate_bounds():
         joint_tail(100, 0.5, -1.0)
 
 
+def _table_rows_by_loop(n_max):
+    # reference: the row-by-row loop that RestrictedCountTable.build replaced,
+    # row[m] = row[m-1] + entry(v - m, min(v - m, m))
+    rows = [[1]]
+    for v in range(1, n_max + 1):
+        row = [0] * (v + 1)
+        for m in range(1, v + 1):
+            rest = v - m
+            row[m] = row[m - 1] + rows[rest][rest if rest < m else m]
+        rows.append(row)
+    return rows
+
+
+def test_table_build_matches_row_loop():
+    want = _table_rows_by_loop(300)
+    for n in range(301):
+        assert RestrictedCountTable.build(n)._data == want[:n + 1], n
+    assert RestrictedCountTable.build(910)._data == _table_rows_by_loop(910)
+
+
 def test_largest_part_table_entries():
     table = RestrictedCountTable.build(30)
     for v in range(31):

@@ -94,6 +94,17 @@ def test_boltzmann_uniform_chi_square():
     assert p_value > 0.001
 
 
+@pytest.mark.parametrize("n", [1, 10])
+def test_boltzmann_acceptance_rate_matches_closed_form(n):
+    # P(total weight = n) = p(n) q^n prod_j (1 - q^j), q = e^{-c/sqrt n}; the
+    # rate of `accepted` draws has relative sd about sqrt((1 - rate) / accepted)
+    q = math.exp(-C / math.sqrt(n))
+    exact = count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(1, 400))
+    _, bstats = sample_boltzmann_batch(n, RngStream(13, n), 200)
+    sigma = exact * math.sqrt((1.0 - exact) / bstats.accepted)
+    assert abs(bstats.acceptance_rate - exact) < 4.0 * sigma
+
+
 def test_boltzmann_acceptance_power_law():
     ns = [100, 400, 1600, 6400]
     rates = [boltzmann_acceptance_rate(n, RngStream(7, i), accepted_target=120)
