@@ -8,6 +8,7 @@ the plain-value entry points raise OverflowError where the math module does.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -150,6 +151,20 @@ def freiman_remainder(u: complex, terms: int | None = None) -> complex:
     return freiman_lhs(u, terms) - freiman_main_term(u)
 
 
+@functools.lru_cache(maxsize=2)
+def _lemma1_r_side(r: float) -> tuple[tuple[float, ...], float]:
+    """The theta-free half of lemma1_bound_check: the powers r^k up to the
+    truncation, and log of the Euler product at r.  Grids hold r fixed over a
+    run of theta, so the last two r are kept."""
+    terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    powers = tuple(r**k for k in range(1, terms + 1))
+    log = math.log
+    log_p_r = 0.0
+    for rk in powers:
+        log_p_r -= log(1.0 - rk)
+    return powers, log_p_r
+
+
 def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     """Log-magnitude of the Euler product on |q| = r against its decay bound.
 
@@ -161,13 +176,10 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    powers, log_p_r = _lemma1_r_side(r)
     log, exp = math.log, cmath.exp
-    log_p_r = 0.0
     log_abs_pq = 0.0
-    for k in range(1, terms + 1):
-        rk = r**k
-        log_p_r -= log(1.0 - rk)
+    for k, rk in enumerate(powers, 1):
         log_abs_pq -= log(abs(1.0 - rk * exp(1j * k * theta)))
     alpha = CONSTANTS.alpha
     decay = alpha * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * alpha * theta**2))

@@ -2,12 +2,12 @@
 
 Counts are plain Python integers; nothing in this module rounds.  Three
 families are covered: p(n) via the pentagonal-number recurrence, counts of
-partitions with bounded largest part (`RestrictedCountTable`, whose cumulative
-rows drive the exact sampler, with an on-disk cache), and the
-doubly-restricted counts with bounded largest part and bounded number of
-parts (`count_restricted`, a Gaussian binomial taken by the q-binomial split:
-s divide passes plus J+1 dot products), with the literal product formula as an
-independent oracle.
+partitions with bounded largest part (`RestrictedCountTable`, whose half
+cumulative rows and prefix sums of p drive the exact sampler, with an on-disk
+cache), and the doubly-restricted counts with bounded largest part and bounded
+number of parts (`count_restricted`, a Gaussian binomial taken by the
+q-binomial split: s divide passes plus J+1 dot products), with the literal
+product formula as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import contextlib
 import marshal
 import os
 import struct
-from itertools import accumulate, chain
-from operator import add, getitem, mul
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
+from operator import add, getitem, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import slant_bounds
@@ -28,26 +29,36 @@ if TYPE_CHECKING:
 _pcache = [1]
 
 
+def _pentagonal_offsets(n: int) -> tuple[list[int], list[int]]:
+    """The generalized pentagonal numbers k(3k -+ 1)/2 <= n, by the sign that
+    Euler's recurrence gives them: (+ for odd k, - for even k), each increasing."""
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k += 1
+    return plus, minus
+
+
 def count_partitions(n: int) -> int:
-    """Exact number of partitions of n; p(0) = 1."""
+    """Exact number of partitions of n; p(0) = 1.
+
+    Euler's pentagonal recurrence p(m) = sum over the + offsets g of p(m - g)
+    minus the same sum over the - offsets, each sum taken at C speed over the
+    offsets up to m.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     cache = _pcache
-    while len(cache) <= n:
-        m = len(cache)
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * cache[m - g]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * cache[m - g2]
-            k += 1
-        cache.append(total)
+    if len(cache) <= n:
+        plus, minus = _pentagonal_offsets(n)
+        get = cache.__getitem__
+        for m in range(len(cache), n + 1):
+            a = bisect_right(plus, m)
+            b = bisect_right(minus, m)
+            cache.append(sum(map(get, map(sub, repeat(m, a), plus[:a])))
+                         - sum(map(get, map(sub, repeat(m, b), minus[:b]))))
     return cache[n]
 
 
@@ -210,9 +221,12 @@ class RestrictedCountTable:
     """Immutable table of partition counts by largest part, buildable and cacheable.
 
     entry(v, m) is the number of partitions of v with all parts <= m, for
-    v <= n_max, as an exact big integer.  The table is stored as ragged
-    cumulative rows: row v lists entry(v, m) for m = 0..v, the cumulative
-    distribution over the largest part that the exact sampler bisects.
+    v <= n_max, as an exact big integer.  Only the lower half of each
+    cumulative row is stored: half row v lists entry(v, m) for m = 0..v//2,
+    and the totals list p(0..n_max).  For m >= v/2 no part above m can repeat,
+    so entry(v, m) = p(v) - cum[v - m], with cum[k] = p(0) + ... + p(k-1)
+    derived from the totals once.  `row(v)` rebuilds the whole cumulative
+    row; the exact sampler reads the half rows and cum directly.
 
     save/load keep one table per file, as a header and one bulk payload (see
     the comment above save); load raises ValueError on a file of another
@@ -223,46 +237,58 @@ class RestrictedCountTable:
     mode = MODE_LARGEST
 
     _MAGIC = b"YPTB"
-    _VERSION = 2
+    _VERSION = 3
     _HEADER = struct.Struct("<4sHBBQ")
     _MODE_CODE = 1
 
-    def __init__(self, n_max: int, rows: list[list[int]]):
+    def __init__(self, n_max: int, half_rows: list[list[int]], totals: list[int]):
         self.n_max = n_max
-        self._data = rows
+        self._half = half_rows
+        self._totals = totals
+        self._cum = list(accumulate(totals, initial=0))
 
     @classmethod
     def build(cls, n_max: int) -> "RestrictedCountTable":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        # row v accumulates entry(v - m, m) over m <= v/2, where v - m >= m,
-        # and then p(v - m) for the larger m, where v - m < m
-        rows = [[1]]
+        # half row v accumulates entry(v - m, m) over m <= v//2: a stored
+        # entry while m <= (v - m)//2, that is m <= v//3, and
+        # p(v - m) - cum[v - 2m] from the upper half of row v - m beyond
+        # (map stops at the totals slice, which is empty when v//3 == v//2)
+        half = [[1]]
         totals = [1]
+        cum = [0, 1]
         for v in range(1, n_max + 1):
-            h = v // 2
-            row = list(accumulate(chain(map(getitem, rows[v - 1:v - h - 1:-1], range(1, h + 1)),
-                                        totals[v - h - 1::-1]), initial=0))
-            rows.append(row)
-            totals.append(row[v])
-        return cls(n_max, rows)
+            a, h = v // 3, v // 2
+            row = list(accumulate(chain(map(getitem, half[v - 1:v - a - 1:-1], range(1, a + 1)),
+                                        map(sub, totals[v - a - 1:v - h - 1:-1],
+                                            cum[v - 2 * a - 2::-2])),
+                                  initial=0))
+            half.append(row)
+            total = row[h] + cum[v - h]
+            totals.append(total)
+            cum.append(cum[v] + total)
+        return cls(n_max, half, totals)
 
     def entry(self, v: int, m: int) -> int:
         if v > self.n_max:
             raise ValueError("weight beyond table range")
-        if v < 0:
+        if v < 0 or m < 0:
             return 0
-        row = self._data[v]
-        return row[m if m < v else v] if m >= 0 else 0
+        if m <= v // 2:
+            return self._half[v][m]
+        return self._totals[v] - self._cum[max(v - m, 0)]
 
     def row(self, v: int) -> list[int]:
-        """Cumulative counts over the largest part for weight v (read-only)."""
-        return self._data[v]
+        """Cumulative counts over the largest part for weight v: entry(v, m), m = 0..v."""
+        total = self._totals[v]
+        return self._half[v] + [total - c for c in reversed(self._cum[:v - v // 2])]
 
     # Cache file: a fixed header (magic, version, layout code 1, n_max), then
-    # one bulk payload, marshal.dumps(rows).  marshal builds only data and
-    # never runs code, and load() checks the shape and the type of every
-    # entry before use.
+    # one bulk payload, marshal.dumps((half_rows, totals)).  marshal builds
+    # only data and never runs code, and load() checks the shape and the type
+    # of every entry, and p(v) = row[v//2] + cum[v - v//2] for each total,
+    # before use.
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the table to path atomically, through a per-process temp file."""
@@ -271,7 +297,7 @@ class RestrictedCountTable:
             with open(tmp, "wb") as fh:
                 fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, self._MODE_CODE, 0,
                                            self.n_max))
-                fh.write(marshal.dumps(self._data))
+                fh.write(marshal.dumps((self._half, self._totals)))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -294,15 +320,23 @@ class RestrictedCountTable:
                 raise ValueError(f"unknown cache mode code {mode_code}")
             payload = fh.read()
         try:
-            rows = marshal.loads(payload)
+            content = marshal.loads(payload)
         except (EOFError, ValueError, TypeError) as exc:
             raise ValueError(f"damaged cache payload: {exc}") from None
-        if type(rows) is not list or len(rows) != n_max + 1:
+        if type(content) is not tuple or len(content) != 2:
+            raise ValueError("cache payload is not a (half rows, totals) pair")
+        half, totals = content
+        if type(half) is not list or len(half) != n_max + 1:
             raise ValueError("cache file has the wrong number of rows")
-        for v, row in enumerate(rows):
-            if type(row) is not list or len(row) != v + 1 or set(map(type, row)) != {int}:
-                raise ValueError(f"cache file row {v} is damaged")
-        return cls(n_max, rows)
+        if type(totals) is not list or len(totals) != n_max + 1 or set(map(type, totals)) != {int}:
+            raise ValueError("cache file totals are damaged")
+        table = cls(n_max, half, totals)
+        cum = table._cum
+        for v, row in enumerate(half):
+            if (type(row) is not list or len(row) != v // 2 + 1 or set(map(type, row)) != {int}
+                    or totals[v] != row[-1] + cum[v - v // 2]):
+                raise ValueError(f"cache file row {v} or its total is damaged")
+        return table
 
 
 def default_cache_dir() -> str:

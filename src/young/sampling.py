@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import C
@@ -83,25 +83,39 @@ def _as_source(rng) -> random.Random:
 def _unrank(n: int, table: RestrictedCountTable, rank: int) -> tuple[int, ...]:
     """The partition of n at `rank` (0 <= rank < p(n)) in increasing lex order.
 
-    Row v of the table holds, at index m, the number of partitions of v with
-    largest part at most m.  The largest part is the m with
-    row[m-1] <= rank < row[m]; the remainder rank - row[m-1] is then a rank
-    below row[m] - row[m-1], the number of partitions of v - m with parts at
-    most m, which is the next row's total.  Rank 0 is all ones and rank
-    p(n) - 1 is (n,).
+    The cumulative row of weight v holds, at index m, entry(v, m), the number
+    of partitions of v with largest part at most m.  The largest part is the m
+    with entry(v, m-1) <= rank < entry(v, m); the remainder
+    rank - entry(v, m-1) is then a rank below the number of partitions of
+    v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
+
+    The table stores the row only up to m = v//2.  Above it,
+    entry(v, m) = p(v) - cum[v - m] with cum the prefix sums of p, so a part
+    m > v/2 is found by one bisection of cum for x = p(v) - rank: the k with
+    cum[k] < x <= cum[k+1] gives m = v - k and the new rank cum[k+1] - x.
     """
     parts = []
     v = n
     bound = n
-    rows = table._data
+    rows, totals, cum = table._half, table._totals, table._cum
     while v:
         row = rows[v]
-        hi = bound if bound < v else v
-        # a repeated part takes the top interval of the row
-        if rank >= row[hi - 1]:
-            m = hi
+        if bound + bound <= v:
+            # a repeated part takes the top interval of the row
+            m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
         else:
-            m = bisect_right(row, rank, 1, hi)
+            h = v >> 1
+            if rank < row[h]:
+                m = bisect_right(row, rank, 1, h)
+            else:
+                # a part above v/2, so the rest k < v - k has no bound below
+                # its weight, and bound = k acts as bound = v - k would
+                x = totals[v] - rank
+                k = bisect_left(cum, x, 1, v - h) - 1
+                rank = cum[k + 1] - x
+                parts.append(v - k)
+                v = bound = k
+                continue
         if m == 1:
             parts.extend([1] * v)
             break
@@ -120,7 +134,7 @@ def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Rando
     `randrange` takes the rank from `getrandbits` with rejection, so it is
     exactly uniform.
     """
-    return _unrank(n, table, source.randrange(table._data[n][n]))
+    return _unrank(n, table, source.randrange(table._totals[n]))
 
 
 def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
@@ -157,8 +171,9 @@ def _boltzmann_setup(n: int):
 
     q = math.exp(-C / math.sqrt(n))
     # parts with q^j below 2^-80 are dropped; their total probability is
-    # smaller than the rejection loop can ever observe
-    jmax = int(80.0 * math.log(2.0) * math.sqrt(n) / C) + 1
+    # smaller than the rejection loop can ever observe.  Parts above n are
+    # dropped too: an accepted draw has none, so the accepted law is unchanged
+    jmax = min(int(80.0 * math.log(2.0) * math.sqrt(n) / C) + 1, n)
     j = np.arange(1, jmax + 1)
     probs = -np.expm1(j * math.log(q))  # 1 - q^j, accurate near 0
     return j, probs

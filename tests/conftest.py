@@ -37,21 +37,38 @@ def _box_cube(n_max: int) -> bytes:
     return _cache_file(n_max, bytes(8 * (n_max + 1) ** 3), mode_code=2)
 
 
+def _version_2(n_max: int) -> bytes:
+    """A by-largest-part file in the version-2 format: marshal.dumps of the full rows."""
+    return _cache_file(n_max, marshal.dumps(_rows(n_max)), version=2)
+
+
+def _payload(n_max: int) -> tuple[list[list[int]], list[int]]:
+    table = RestrictedCountTable.build(n_max)
+    return table._half, table._totals
+
+
 def _truncated(n_max: int) -> bytes:
-    whole = _cache_file(n_max, marshal.dumps(_rows(n_max)))
+    whole = _cache_file(n_max, marshal.dumps(_payload(n_max)))
     return whole[:len(whole) // 2]
 
 
 def _short_row(n_max: int) -> bytes:
-    rows = _rows(n_max)
-    rows[7].pop()
-    return _cache_file(n_max, marshal.dumps(rows))
+    half, totals = _payload(n_max)
+    half[7].pop()
+    return _cache_file(n_max, marshal.dumps((half, totals)))
 
 
 def _non_int_entry(n_max: int) -> bytes:
-    rows = _rows(n_max)
-    rows[7][3] = float(rows[7][3])
-    return _cache_file(n_max, marshal.dumps(rows))
+    half, totals = _payload(n_max)
+    half[7][2] = float(half[7][2])
+    return _cache_file(n_max, marshal.dumps((half, totals)))
+
+
+def _damaged_total(n_max: int) -> bytes:
+    """Right shape and types, but p(7) off by one, so it disagrees with half row 7."""
+    half, totals = _payload(n_max)
+    totals[7] += 1
+    return _cache_file(n_max, marshal.dumps((half, totals)))
 
 
 DAMAGED_CACHES = {
@@ -59,8 +76,10 @@ DAMAGED_CACHES = {
     "8-bytes": lambda n_max: _cache_file(n_max, b"")[:8],
     "truncated-payload": _truncated,
     "version-1": _version_1,
+    "version-2": _version_2,
     "short-row": _short_row,
     "non-int-entry": _non_int_entry,
+    "damaged-total": _damaged_total,
     "mode-code-2": _box_cube,
 }
 

@@ -149,6 +149,29 @@ def test_lemma1_matches_direct_product_magnitude():
     assert math.isclose(lhs, direct, rel_tol=1e-10)
 
 
+def _lemma1_by_loop(r, theta):
+    # reference: the per-point loop that recomputed r^k and log(1 - r^k) for
+    # every theta before lemma1_bound_check cached them per r
+    terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    log_p_r = 0.0
+    log_abs_pq = 0.0
+    for k in range(1, terms + 1):
+        rk = r**k
+        log_p_r -= math.log(1.0 - rk)
+        log_abs_pq -= math.log(abs(1.0 - rk * cmath.exp(1j * k * theta)))
+    alpha = CONSTANTS.alpha
+    decay = alpha * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * alpha * theta**2))
+    return log_abs_pq, log_p_r - decay
+
+
+def test_lemma1_matches_per_point_loop():
+    thetas = [0.0] + [-math.pi + 2.0 * math.pi * (j + 1) / 8 for j in range(8)]
+    for r in (0.5, 0.9, 0.99, 0.999, 0.9995):
+        for theta in thetas:
+            assert lemma1_bound_check(r, theta) == _lemma1_by_loop(r, theta), (r, theta)
+    assert lemma1_bound_check(0.9999, 0.0) == _lemma1_by_loop(0.9999, 0.0)
+
+
 def test_lemma1_domain():
     with pytest.raises(ValueError):
         lemma1_bound_check(1.0, 0.1)

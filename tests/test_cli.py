@@ -335,7 +335,7 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
     code, out, _ = run_cli(capsys, *args, str(damaged))
     assert code == 0
     assert out == expected
-    assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 2
+    assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 3
     assert RestrictedCountTable.load(path).row(25) == RestrictedCountTable.build(25).row(25)
 
 

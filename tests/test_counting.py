@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,32 @@ def test_count_partitions_values():
 def test_count_partitions_matches_enumeration():
     for n in range(26):
         assert count_partitions(n) == enumerate_partitions(n)
+
+
+def _partition_counts_by_loop(n):
+    # reference: the term-by-term pentagonal loop that count_partitions replaced
+    cache = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g = k * (3 * k - 1) // 2
+            if g > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * cache[m - g]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= m:
+                total += sign * cache[m - g2]
+            k += 1
+        cache.append(total)
+    return cache
+
+
+def test_count_partitions_matches_pentagonal_loop():
+    want = _partition_counts_by_loop(10_000)
+    assert [count_partitions(n) for n in range(3001)] == want[:3001]
+    assert count_partitions(10_000) == want[10_000]
 
 
 def test_count_restricted_examples():
@@ -175,8 +202,32 @@ def _table_rows_by_loop(n_max):
 def test_table_build_matches_row_loop():
     want = _table_rows_by_loop(300)
     for n in range(301):
-        assert RestrictedCountTable.build(n)._data == want[:n + 1], n
-    assert RestrictedCountTable.build(910)._data == _table_rows_by_loop(910)
+        table = RestrictedCountTable.build(n)
+        assert [table.row(v) for v in range(n + 1)] == want[:n + 1], n
+    table = RestrictedCountTable.build(910)
+    assert [table.row(v) for v in range(911)] == _table_rows_by_loop(910)
+
+
+def test_table_stores_half_rows():
+    # entry(v, m) for m > v/2 comes from p(v) and the prefix sums of p, so a
+    # stored row stops at v // 2 and the table of 910 holds about half of the
+    # 20 MB that the full rows took
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = RestrictedCountTable.build(910)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(table._half[v]) for v in range(911)] == [v // 2 + 1 for v in range(911)]
+    assert held < 12e6, held
+    assert table._totals == [count_partitions(v) for v in range(911)]
+
+
+def test_table_cache_file_size(tmp_path):
+    path = tmp_path / "t.ypt"
+    RestrictedCountTable.build(910).save(path)
+    assert path.stat().st_size < 3.5e6
 
 
 def test_largest_part_table_entries():
@@ -241,7 +292,7 @@ def test_load_or_build_rebuilds_damaged_file(tmp_path, damaged_cache):
     expected = [RestrictedCountTable.build(25).row(v) for v in range(26)]
     assert [table.row(v) for v in range(26)] == expected
     version = RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1]
-    assert version == RestrictedCountTable._VERSION == 2
+    assert version == RestrictedCountTable._VERSION == 3
     assert [RestrictedCountTable.load(path).row(v) for v in range(26)] == expected
 
 

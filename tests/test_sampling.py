@@ -1,5 +1,9 @@
 import math
+import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import repeat
+from operator import eq
 
 import numpy as np
 import pytest
@@ -56,13 +60,48 @@ def test_exact_sampler_reproducible(table30):
     assert run1 == run2
 
 
+def _unrank_by_full_rows(n, rows, rank):
+    # reference: the unranking over whole cumulative rows that _unrank replaced
+    parts = []
+    v = n
+    bound = n
+    while v:
+        row = rows[v]
+        hi = bound if bound < v else v
+        if rank >= row[hi - 1]:
+            m = hi
+        else:
+            m = bisect_right(row, rank, 1, hi)
+        if m == 1:
+            parts.extend([1] * v)
+            break
+        rank -= row[m - 1]
+        parts.append(m)
+        v -= m
+        bound = m
+    return tuple(parts)
+
+
 def test_unrank_is_a_bijection_onto_increasing_lex_order():
+    # the full-row reference unranks in this order too, so for n < 60 the two
+    # agree on every rank; descending ranks meet `partitions` one at a time
     table = RestrictedCountTable.build(910)
-    for n in range(41):
-        ranked = [_unrank(n, table, r) for r in range(count_partitions(n))]
-        assert ranked == list(partitions(n))[::-1], n
+    for n in range(60):
+        p = count_partitions(n)
+        assert all(map(eq, map(_unrank, repeat(n), repeat(table), range(p - 1, -1, -1)),
+                       partitions(n))), n
     assert _unrank(910, table, 0) == (1,) * 910
     assert _unrank(910, table, count_partitions(910) - 1) == (910,)
+
+
+def test_unrank_matches_full_row_reference():
+    table = RestrictedCountTable.build(910)
+    rows = [table.row(v) for v in range(911)]
+    p = count_partitions(910)
+    gen = random.Random(910)
+    ranks = [0, 1, p - 2, p - 1] + [gen.randrange(p) for _ in range(20_000)]
+    for rank in ranks:
+        assert _unrank(910, table, rank) == _unrank_by_full_rows(910, rows, rank), rank
 
 
 def test_exact_sampler_uniform_chi_square(table30):
@@ -96,10 +135,12 @@ def test_boltzmann_uniform_chi_square():
 
 @pytest.mark.parametrize("n", [1, 10])
 def test_boltzmann_acceptance_rate_matches_closed_form(n):
-    # P(total weight = n) = p(n) q^n prod_j (1 - q^j), q = e^{-c/sqrt n}; the
-    # rate of `accepted` draws has relative sd about sqrt((1 - rate) / accepted)
+    # P(total weight = n) = p(n) q^n prod_{j <= n} (1 - q^j), q = e^{-c/sqrt n},
+    # since the sampler draws parts up to min(jmax, n) and jmax >= n for
+    # n <= 1871; the rate of `accepted` draws has relative sd about
+    # sqrt((1 - rate) / accepted)
     q = math.exp(-C / math.sqrt(n))
-    exact = count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(1, 400))
+    exact = count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(1, n + 1))
     _, bstats = sample_boltzmann_batch(n, RngStream(13, n), 200)
     sigma = exact * math.sqrt((1.0 - exact) / bstats.accepted)
     assert abs(bstats.acceptance_rate - exact) < 4.0 * sigma
