@@ -95,9 +95,10 @@ def restricted_asymptotic(n: int, h: float, w: float) -> float:
     return math.exp(restricted_asymptotic_log(n, h, w))
 
 
-# Most terms freiman_lhs sums: about 4 s at 0.4 us per term (2-core x86 VM),
-# needed near Re u = 4.5e-6.
-FREIMAN_MAX_TERMS = 10**7
+# Most terms either truncated Euler product sums (freiman_lhs, and
+# lemma1_bound_check, which also holds its powers of r): freiman_lhs needs
+# them near Re u = 4.5e-6, where it takes about 4 s (2-core x86 VM).
+EULER_MAX_TERMS = 10**7
 
 
 def _euler_terms_needed(re_u: float, tail: float = 1e-14) -> int | float:
@@ -117,7 +118,7 @@ def freiman_lhs(u: complex, terms: int | None = None) -> complex:
     u must be finite and lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
     With terms=None the truncation point is chosen so the dropped tail is
     below 1e-14; an explicit terms value that leaves a larger tail raises, and
-    so does a u whose tail needs more than FREIMAN_MAX_TERMS terms.
+    so does a u whose tail needs more than EULER_MAX_TERMS terms.
     """
     u = complex(u)
     if not cmath.isfinite(u):
@@ -127,17 +128,25 @@ def freiman_lhs(u: complex, terms: int | None = None) -> complex:
     if abs(u.imag) > FREIMAN_WEDGE_RATIO * u.real:
         raise ValueError("u outside the wedge |Im u| <= ratio * Re u")
     needed = _euler_terms_needed(u.real)
-    if needed > FREIMAN_MAX_TERMS:
+    if needed > EULER_MAX_TERMS:
         raise ValueError(f"Re u = {u.real:.3g} needs {needed} terms for a 1e-14 tail, "
-                         f"more than the {FREIMAN_MAX_TERMS} that are summed")
+                         f"more than the {EULER_MAX_TERMS} that are summed")
     if terms is None:
         terms = needed
     elif terms < needed:
         raise ValueError(f"insufficient terms: need {needed} for a 1e-14 tail")
-    total = 0.0 + 0.0j
+    # compensated (Kahan) summation: the sum is about pi^2/(6u), 4 pi^2/u^2
+    # times the remainder u/24 past the main term, so a plain running sum of
+    # 1e6 or more terms loses the remainder; this one errs by a few roundings
+    # of the sum of the terms' magnitudes, which is the size of the sum here
+    log, exp = cmath.log, cmath.exp
+    total = comp = 0j
     for k in range(1, terms + 1):
-        total -= cmath.log(1.0 - cmath.exp(-k * u))
-    return total
+        y = log(1.0 - exp(-k * u)) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return -total
 
 
 def freiman_main_term(u: complex) -> complex:
@@ -157,6 +166,9 @@ def _lemma1_r_side(r: float) -> tuple[tuple[float, ...], float]:
     truncation, and log of the Euler product at r.  Grids hold r fixed over a
     run of theta, so the last two r are kept."""
     terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    if terms > EULER_MAX_TERMS:
+        raise ValueError(f"r = {r!r} needs {terms} terms for a 1e-16 tail, "
+                         f"more than the {EULER_MAX_TERMS} that are summed")
     powers = tuple(r**k for k in range(1, terms + 1))
     log = math.log
     log_p_r = 0.0
@@ -173,6 +185,8 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     The inequality lhs <= rhs is what callers assert.  Values are logs because
     the product itself overflows doubles as r -> 1.  Both sums take each term
     as log(1 - r^k) rounds it at theta = 0, so there lhs equals rhs exactly.
+    An r whose 1e-16 truncation needs more than EULER_MAX_TERMS terms raises
+    ValueError before any power is built.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")

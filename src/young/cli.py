@@ -77,7 +77,7 @@ def cmd_count_restricted(args) -> int:
     from . import counting
 
     if args.oracle:
-        value = counting.coeff_from_product(args.n, args.r, args.s, limit=args.limit)
+        value = counting.coeff_from_product(args.n, args.r, args.s)
     else:
         t0 = time.perf_counter()
         value = counting.count_restricted(args.n, args.r, args.s)
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--s", type=int, required=True)
     sub.add_argument("--oracle", action="store_true", help="use the product-formula oracle")
-    sub.add_argument("--limit", type=int, default=200, help="oracle truncation bound")
     _add_common(sub, formats=("text", "json"))
     sub.set_defaults(func=cmd_count_restricted)
 

@@ -2,12 +2,15 @@
 
 Counts are plain Python integers; nothing in this module rounds.  Three
 families are covered: p(n) via the pentagonal-number recurrence, counts of
-partitions with bounded largest part (`RestrictedCountTable`, whose half
-cumulative rows and prefix sums of p drive the exact sampler, with an on-disk
+partitions with bounded largest part (`RestrictedCountTable`, with an on-disk
 cache), and the doubly-restricted counts with bounded largest part and bounded
 number of parts (`count_restricted`, a Gaussian binomial taken by the
 q-binomial split: s divide passes plus J+1 dot products), with the literal
 product formula as an independent oracle.
+
+The table stores half cumulative rows plus prefix sums of p, and that layout
+is known only here: other modules read it through `entry`, `row` and
+`unrank`, the rank-to-partition map behind the exact sampler.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import contextlib
 import marshal
 import os
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import add, getitem, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -226,7 +229,7 @@ class RestrictedCountTable:
     and the totals list p(0..n_max).  For m >= v/2 no part above m can repeat,
     so entry(v, m) = p(v) - cum[v - m], with cum[k] = p(0) + ... + p(k-1)
     derived from the totals once.  `row(v)` rebuilds the whole cumulative
-    row; the exact sampler reads the half rows and cum directly.
+    row; `unrank` reads the half rows and cum directly.
 
     save/load keep one table per file, as a header and one bulk payload (see
     the comment above save); load raises ValueError on a file of another
@@ -283,6 +286,51 @@ class RestrictedCountTable:
         """Cumulative counts over the largest part for weight v: entry(v, m), m = 0..v."""
         total = self._totals[v]
         return self._half[v] + [total - c for c in reversed(self._cum[:v - v // 2])]
+
+    def unrank(self, n: int, rank: int) -> tuple[int, ...]:
+        """The partition of n at `rank` (0 <= rank < p(n)) in increasing lex order.
+
+        The cumulative row of weight v holds, at index m, entry(v, m), the number
+        of partitions of v with largest part at most m.  The largest part is the m
+        with entry(v, m-1) <= rank < entry(v, m); the remainder
+        rank - entry(v, m-1) is then a rank below the number of partitions of
+        v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
+
+        Only the row up to m = v//2 is stored.  Above it,
+        entry(v, m) = p(v) - cum[v - m], so a part m > v/2 is found by one
+        bisection of cum for x = p(v) - rank: the k with cum[k] < x <= cum[k+1]
+        gives m = v - k and the new rank cum[k+1] - x.
+        """
+        parts = []
+        v = n
+        bound = n
+        rows, totals, cum = self._half, self._totals, self._cum
+        while v:
+            row = rows[v]
+            if bound + bound <= v:
+                # a repeated part takes the top interval of the row
+                m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
+            else:
+                h = v >> 1
+                if rank < row[h]:
+                    m = bisect_right(row, rank, 1, h)
+                else:
+                    # a part above v/2, so the rest k < v - k has no bound below
+                    # its weight, and bound = k acts as bound = v - k would
+                    x = totals[v] - rank
+                    k = bisect_left(cum, x, 1, v - h) - 1
+                    rank = cum[k + 1] - x
+                    parts.append(v - k)
+                    v = bound = k
+                    continue
+            if m == 1:
+                parts.extend([1] * v)
+                break
+            rank -= row[m - 1]
+            parts.append(m)
+            v -= m
+            bound = m
+        return tuple(parts)
 
     # Cache file: a fixed header (magic, version, layout code 1, n_max), then
     # one bulk payload, marshal.dumps((half_rows, totals)).  marshal builds

@@ -23,8 +23,6 @@ from .partitions import _conjugate, _dominates, _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
 Method = Literal["exact-enumeration", "exact-ratio", "monte-carlo"]
@@ -96,25 +94,6 @@ def _require_stream(rng) -> RngStream:
     return rng
 
 
-class FractionRow(NamedTuple):
-    n: int
-    graphical: int | None
-    total: int | None
-    estimate: Estimate
-
-    @property
-    def fraction(self) -> Fraction | None:
-        if self.graphical is None:
-            return None
-        from fractions import Fraction
-
-        return Fraction(self.graphical, self.total)
-
-
-class FractionSeries(NamedTuple):
-    rows: tuple[FractionRow, ...]
-
-
 WILF_EXACT_CAP = 80
 
 
@@ -154,24 +133,6 @@ def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> 
         if check(draw()):
             hits += 1
     return _bernoulli_estimate(hits, samples, rng)
-
-
-def wilf_series(n_values, samples: int, rng,
-                table: RestrictedCountTable | None = None) -> FractionSeries:
-    """Graphical fraction for each even n: exact up to WILF_EXACT_CAP, MC above."""
-    rows = []
-    for i, n in enumerate(n_values):
-        _require_even(n)
-        if n <= WILF_EXACT_CAP:
-            graphical, total = wilf_graphical_counts(n)
-            rows.append(FractionRow(n, graphical, total,
-                                    _exact_estimate(graphical / total, total)))
-        else:
-            if table is None or table.n_max < n:
-                raise ValueError("Monte Carlo rows need a table with n_max >= n")
-            est = wilf_fraction_mc(n, samples, _require_stream(rng).split(i), table)
-            rows.append(FractionRow(n, None, None, est))
-    return FractionSeries(tuple(rows))
 
 
 # Dominance comparability of two independent uniform partitions.
@@ -362,11 +323,6 @@ class TvExact(NamedTuple):
     leak_true: float
     leak_model: float
     nonpositive_mass: float
-
-    @property
-    def unaccounted(self) -> float:
-        """Mass where neither law is resolved; bounded by the smaller leak."""
-        return min(self.leak_true, self.leak_model)
 
 
 # Bytes of the scratch block that one batch of shifted sources is copied into

@@ -5,12 +5,17 @@ summing to n, visualized as a Young diagram whose column heights are the
 parts.  This module holds the value type, conjugation, the Durfee square,
 the dominance order, three independent graphicality tests, the Gale-Ryser
 bipartite criterion, and exhaustive generation in decreasing lexicographic
-order with a constant-amortized-time successor rule.
+order with a constant-amortized-time successor rule (`partitions(n)`; count
+them with `sum(1 for _ in partitions(n))`).
+
+The public functions accept a `Partition` or any weakly decreasing iterable
+and validate it; the underscore kernels (`_conjugate`, `_dominates`,
+`_nash_williams`) take raw tuples from the samplers and enumeration unchecked.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class Partition:
@@ -55,25 +60,9 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
 
-    def conjugate(self) -> "Partition":
-        return conjugate(self)
-
-    def durfee(self) -> int:
-        return durfee(self)
-
     def to_json(self) -> list[int]:
         """Serialize as a plain list of parts, largest first."""
         return list(self.parts)
-
-
-class DegreePair(NamedTuple):
-    """Candidate degree sequences for the two sides of a bipartite graph."""
-
-    alpha: Partition
-    beta: Partition
-
-    def is_bigraphical(self) -> bool:
-        return gale_ryser_bipartite(self.alpha, self.beta)
 
 
 def _parts_of(p) -> tuple[int, ...]:
@@ -232,25 +221,19 @@ def gale_ryser_bipartite(alpha, beta) -> bool:
     return _dominates(_conjugate(b), a)
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield partitions of n in decreasing lexicographic order.
 
-    Optionally restrict all parts to at most max_part.  Uses an in-place
-    successor rule whose amortized cost per partition is constant: find the
-    rightmost part above 1, decrement it, and refill the tail greedily.
+    Uses an in-place successor rule whose amortized cost per partition is
+    constant: find the rightmost part above 1, decrement it, and refill the
+    tail greedily.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    bound = n if max_part is None else min(max_part, n)
-    if bound <= 0:
-        return
-    # greedy first partition: as many copies of bound as fit, then remainder
-    state = [bound] * (n // bound)
-    if n % bound:
-        state.append(n % bound)
+    state = [n]
     while True:
         yield tuple(state)
         # rightmost entry > 1
@@ -268,31 +251,3 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             take = cap if cap < rest else rest
             state.append(take)
             rest -= take
-
-
-def enumerate_partitions(n: int, visitor: Callable[[tuple[int, ...]], None] | None = None,
-                         max_part: int | None = None) -> int:
-    """Visit every partition of n once, in decreasing lex order; return the count."""
-    count = 0
-    if visitor is None:
-        for _ in partitions(n, max_part):
-            count += 1
-    else:
-        for part in partitions(n, max_part):
-            visitor(part)
-            count += 1
-    return count
-
-
-def partitions_with_largest(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n whose first part is exactly `largest`.
-
-    Splitting an exhaustive sweep by largest part gives disjoint ranges that
-    cover all of the partitions of n.
-    """
-    if largest > n or largest < 1:
-        if n == 0 and largest == 0:
-            yield ()
-        return
-    for rest in partitions(n - largest, max_part=largest):
-        yield (largest,) + rest

@@ -2,10 +2,13 @@
 exponential-sums surrogate for the extremities of a random diagram.
 
 An exact uniform partition of n is drawn by unranking: one uniform integer
-below p(n) is mapped to a partition through the cumulative count rows of a
-by-largest-part table (Nijenhuis and Wilf, Combinatorial Algorithms, ch. 10).
-The map is a bijection, so each draw costs one big-integer uniform and is
-exactly uniform with no rejection beyond that of the uniform itself.
+below p(n) is mapped to a partition by `RestrictedCountTable.unrank`, which
+walks the by-largest-part count rows (Nijenhuis and Wilf, Combinatorial
+Algorithms, ch. 10).  The map is a bijection, so each draw costs one
+big-integer uniform and is exactly uniform with no rejection beyond that of
+the uniform itself.  `make_sampler` is the one entry point for exact draws; it
+takes an `RngStream`.  Boltzmann draws come from `sample_boltzmann_batch`,
+whose stats carry the acceptance rate.
 
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import C
@@ -72,81 +74,22 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or numpy Generator")
 
 
-def _as_source(rng) -> random.Random:
-    """The exact draws' generator: the stream's own, or one seeded from 32
-    bytes of a numpy Generator."""
-    if isinstance(rng, RngStream):
-        return rng.source()
-    return random.Random(int.from_bytes(_as_generator(rng).bytes(32), "little"))
-
-
-def _unrank(n: int, table: RestrictedCountTable, rank: int) -> tuple[int, ...]:
-    """The partition of n at `rank` (0 <= rank < p(n)) in increasing lex order.
-
-    The cumulative row of weight v holds, at index m, entry(v, m), the number
-    of partitions of v with largest part at most m.  The largest part is the m
-    with entry(v, m-1) <= rank < entry(v, m); the remainder
-    rank - entry(v, m-1) is then a rank below the number of partitions of
-    v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
-
-    The table stores the row only up to m = v//2.  Above it,
-    entry(v, m) = p(v) - cum[v - m] with cum the prefix sums of p, so a part
-    m > v/2 is found by one bisection of cum for x = p(v) - rank: the k with
-    cum[k] < x <= cum[k+1] gives m = v - k and the new rank cum[k+1] - x.
-    """
-    parts = []
-    v = n
-    bound = n
-    rows, totals, cum = table._half, table._totals, table._cum
-    while v:
-        row = rows[v]
-        if bound + bound <= v:
-            # a repeated part takes the top interval of the row
-            m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
-        else:
-            h = v >> 1
-            if rank < row[h]:
-                m = bisect_right(row, rank, 1, h)
-            else:
-                # a part above v/2, so the rest k < v - k has no bound below
-                # its weight, and bound = k acts as bound = v - k would
-                x = totals[v] - rank
-                k = bisect_left(cum, x, 1, v - h) - 1
-                rank = cum[k + 1] - x
-                parts.append(v - k)
-                v = bound = k
-                continue
-        if m == 1:
-            parts.extend([1] * v)
-            break
-        rank -= row[m - 1]
-        parts.append(m)
-        v -= m
-        bound = m
-    return tuple(parts)
-
-
 def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Random) -> tuple[int, ...]:
     """One exact-uniform partition of n as a raw tuple of parts.
 
-    Draws a single uniform rank below p(n) and unranks it, so each draw makes
-    one big-integer uniform call however many parts the partition has.
-    `randrange` takes the rank from `getrandbits` with rejection, so it is
-    exactly uniform.
+    Draws a single uniform rank below p(n) = table.entry(n, n) and unranks it,
+    so each draw makes one big-integer uniform call however many parts the
+    partition has.  `randrange` takes the rank from `getrandbits` with
+    rejection, so it is exactly uniform.
     """
-    return _unrank(n, table, source.randrange(table._totals[n]))
+    return table.unrank(n, source.randrange(table.entry(n, n)))
 
 
-def sample_uniform_exact(n: int, rng, table: RestrictedCountTable) -> Partition:
-    """Exactly uniform partition of n, unranked from one uniform rank below p(n)."""
-    return Partition(make_sampler(n, rng, table)())
-
-
-def make_sampler(n: int, rng, table: RestrictedCountTable):
+def make_sampler(n: int, rng: RngStream, table: RestrictedCountTable):
     """Zero-argument callable yielding raw part tuples, for tight MC loops."""
     if table.n_max < n:
         raise ValueError(f"table too small: n_max={table.n_max} < n={n}")
-    source = _as_source(rng)
+    source = rng.source()
 
     def draw() -> tuple[int, ...]:
         return draw_uniform_parts(n, table, source)
@@ -209,18 +152,6 @@ def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
     return out, BoltzmannStats(attempts=attempts, accepted=len(out))
 
 
-def sample_boltzmann(n: int, rng, max_attempts: int = 10_000_000) -> Partition:
-    """Single uniform partition of n by Boltzmann rejection."""
-    draws, _ = sample_boltzmann_batch(n, rng, 1, max_attempts=max_attempts)
-    return draws[0]
-
-
-def boltzmann_acceptance_rate(n: int, rng, accepted_target: int = 100) -> float:
-    """Measured acceptance rate after collecting `accepted_target` draws."""
-    _, stats = sample_boltzmann_batch(n, rng, accepted_target)
-    return stats.acceptance_rate
-
-
 # Exponential-sums surrogate for the k tallest columns and k longest rows.
 
 class SurrogateDraw(NamedTuple):
@@ -238,10 +169,6 @@ class SurrogateDraw(NamedTuple):
     dual_sums: tuple[float, ...]
     col_heights: tuple[int, ...]
     row_lengths: tuple[int, ...]
-
-    @property
-    def has_nonpositive(self) -> bool:
-        return self.col_heights[-1] <= 0 or self.row_lengths[-1] <= 0
 
 
 def slanted_heights(n: int, sums) -> np.ndarray:

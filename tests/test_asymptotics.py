@@ -113,6 +113,21 @@ def test_freiman_remainder_linear_decay():
     assert abs(freiman_remainder(0.025)) < abs(freiman_remainder(0.2))
 
 
+@pytest.mark.parametrize("u", [3e-5, complex(3e-5, 3e-6)])
+def test_freiman_remainder_near_zero_is_minus_u_over_24(u):
+    # log P(e^{-u}) = pi^2/(6u) + Log(u/2pi)/2 - u/24 up to e^{-4 pi^2/u}, so
+    # the remainder is -u/24; about 1.4e6 terms are summed here
+    assert abs(freiman_remainder(u) / u + 1.0 / 24.0) <= 1e-4 / 24.0
+
+
+def test_freiman_lhs_matches_exactly_rounded_sum():
+    # reference: the real and imaginary parts of the same terms summed by fsum
+    u = complex(1e-4, 1e-5)
+    terms = [cmath.log(1.0 - cmath.exp(-k * u)) for k in range(1, 450_000)]
+    ref = -complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    assert abs(freiman_lhs(u, len(terms)) - ref) <= 1e-15 * abs(ref)
+
+
 def test_freiman_main_term_value():
     u = 0.1
     main = freiman_main_term(u)
@@ -177,6 +192,12 @@ def test_lemma1_domain():
         lemma1_bound_check(1.0, 0.1)
     with pytest.raises(ValueError):
         lemma1_bound_check(0.0, 0.1)
+
+
+@pytest.mark.parametrize("r, terms", [(0.999999, 50656847), (0.9999999, 529594546)])
+def test_lemma1_rejects_a_truncation_past_the_term_cap(r, terms):
+    with pytest.raises(ValueError, match=f"needs {terms} terms"):
+        lemma1_bound_check(r, 0.1)
 
 
 def test_headline_bound():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -49,6 +50,18 @@ def test_count_restricted(capsys):
                            "--oracle", "--format", "json")
     (payload,) = check_json_lines(out)
     assert payload["oracle"] is True
+
+
+def test_count_restricted_oracle_keeps_its_truncation_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count-restricted", "--n", "30", "--r", "5", "--s", "7", "--oracle",
+              "--limit", "300"])
+    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "count-restricted", "--n", "201", "--r", "5", "--s", "7",
+                             "--oracle")
+    assert code == 2
+    assert out == ""
+    assert "truncation bound exceeded" in err
 
 
 def test_asymptotic(capsys):
@@ -178,6 +191,19 @@ def test_sample_deterministic(capsys, tmp_path):
     assert len(draws) == 5
     assert all(sum(d) == 30 for d in draws)
     assert all(d == sorted(d, reverse=True) for d in draws)
+
+
+# stdout of `sample --n 220 --count 20 --seed 7 --stream 3`, recorded when the
+# unranking moved from the sampler into the count table
+SAMPLE_220_SHA256 = "2fa3d5a03170d306ba8429b6f552ffc2e5a4c6423367d649b0d9be4f214cd924"
+
+
+def test_sample_seeded_draws_are_pinned(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sample", "--n", "220", "--count", "20", "--seed", "7",
+                           "--stream", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(out.splitlines()) == 21
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_220_SHA256
 
 
 def test_sample_boltzmann(capsys, tmp_path):
@@ -423,6 +449,20 @@ def test_freiman_sweep_rejects_what_the_truncation_cannot_serve(tmp_path, value,
     assert result.returncode == 2
     assert result.stdout == b""
     assert word in result.stderr.decode()
+
+
+def test_lemma1_grid_rejects_a_truncation_past_the_term_cap(tmp_path):
+    # r = 0.9999999 needs 5.3e8 powers of r, about 17 GB; the child may map
+    # 2 GiB, so a grid that tried to build them fails this test with a
+    # MemoryError instead of exhausting the machine
+    argv = ["lemma1-grid", "--r-min", "0.999", "--r-max", "0.9999999", "--r-count", "2",
+            "--theta-count", "2"]
+    result = run_python("import resource, sys, young.cli; "
+                        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                        f"sys.exit(young.cli.main({argv!r}))", tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert "needs 529594546 terms" in result.stderr.decode()
 
 
 def test_sample_streams_do_not_depend_on_the_hash_seed(tmp_path):

@@ -1,10 +1,13 @@
 import math
 import multiprocessing
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import young
 from young.asymptotics import C, log_of_count
 from young.counting import (
     RestrictedCountTable,
@@ -16,7 +19,7 @@ from young.counting import (
     joint_tail,
     load_or_build,
 )
-from young.partitions import enumerate_partitions, partitions
+from young.partitions import partitions
 
 
 def test_count_partitions_values():
@@ -29,7 +32,7 @@ def test_count_partitions_values():
 
 def test_count_partitions_matches_enumeration():
     for n in range(26):
-        assert count_partitions(n) == enumerate_partitions(n)
+        assert count_partitions(n) == sum(1 for _ in partitions(n))
 
 
 def _partition_counts_by_loop(n):
@@ -332,3 +335,12 @@ def test_log_of_count():
     assert (digits - 1) * math.log(10) < log_of_count(big) < digits * math.log(10)
     with pytest.raises(ValueError):
         log_of_count(0)
+
+
+def test_only_counting_reads_the_table_layout():
+    # the half rows, totals and prefix sums are private to counting.py; every
+    # other module goes through entry, row and unrank
+    src = Path(young.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py") if path.name != "counting.py"
+                     and re.search(r"\._(half|totals|cum)\b", path.read_text()))
+    assert readers == []

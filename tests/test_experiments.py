@@ -20,7 +20,7 @@ from young.experiments import (
     tv_distance_mc,
     wilf_fraction_exact,
     wilf_fraction_mc,
-    wilf_series,
+    wilf_graphical_counts,
 )
 from young.partitions import partitions
 from young.sampling import RngStream
@@ -43,6 +43,7 @@ def test_estimate_invariant():
 def test_wilf_exact_small_values():
     assert wilf_fraction_exact(2).value == 0.5
     assert wilf_fraction_exact(4).value == pytest.approx(0.4)  # {(2,1,1), (1,1,1,1)}
+    assert wilf_graphical_counts(6) == (5, 11)  # not monotone this early
     est = wilf_fraction_exact(30)
     assert est.stderr == 0.0
     assert est.method == "exact-enumeration"
@@ -62,20 +63,6 @@ def test_wilf_exact_mc_agreement(table60):
 def test_wilf_mc_n2_converges(table60):
     est = wilf_fraction_mc(2, 10_000, RngStream(22), table60)
     assert est.value == pytest.approx(0.5, abs=3 * est.stderr)
-
-
-def test_wilf_series(table60):
-    series = wilf_series([2, 4, 6], samples=0, rng=RngStream(23))
-    assert [row.n for row in series.rows] == [2, 4, 6]
-    assert all(row.total is not None for row in series.rows)
-    # the exact fractions are 1/2, 2/5, 5/11: not monotone this early
-    from fractions import Fraction
-    assert [row.fraction for row in series.rows] == [
-        Fraction(1, 2), Fraction(2, 5), Fraction(5, 11)]
-    with pytest.raises(ValueError):
-        wilf_series([3], samples=0, rng=RngStream(23))
-    with pytest.raises(ValueError, match="table"):
-        wilf_series([86], samples=10, rng=RngStream(23))
 
 
 @pytest.mark.parametrize("experiment", [wilf_fraction_mc, macdonald_comparable_mc])

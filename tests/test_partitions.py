@@ -5,22 +5,18 @@ from hypothesis import strategies as st
 
 from young.counting import RestrictedCountTable, count_partitions
 from young.partitions import (
-    DegreePair,
     Partition,
     _conjugate,
     _nash_williams,
     conjugate,
     dominates,
     durfee,
-    enumerate_partitions,
     erdos_gallai_graphical,
     gale_ryser_bipartite,
     havel_hakimi_realizable,
     nash_williams_graphical,
     partitions,
-    partitions_with_largest,
 )
-from young.sampling import _unrank
 
 PROPERTY_N_MAX = 910
 
@@ -173,7 +169,7 @@ def _ranked(data, table, count):
     rank below p(n)."""
     n = data.draw(st.integers(0, PROPERTY_N_MAX), label="n")
     ranks = st.integers(0, count_partitions(n) - 1)
-    return [_unrank(n, table, data.draw(ranks, label="rank")) for _ in range(count)]
+    return [table.unrank(n, data.draw(ranks, label="rank")) for _ in range(count)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,7 +198,6 @@ def test_gale_ryser_examples():
     assert gale_ryser_bipartite((1, 1), (2,))
     assert not gale_ryser_bipartite((2, 2), (1, 1))  # unequal sums
     assert gale_ryser_bipartite((3, 3, 3), (3, 3, 3))
-    assert DegreePair(Partition((1, 1)), Partition((2,))).is_bigraphical()
 
 
 def test_gale_ryser_against_dominance_definition():
@@ -216,9 +211,8 @@ def test_gale_ryser_against_dominance_definition():
 def test_enumeration_order_and_counts():
     assert list(partitions(5)) == [
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
-    assert enumerate_partitions(0) == 1
     assert list(partitions(0)) == [()]
-    assert enumerate_partitions(10) == 42
+    assert sum(1 for _ in partitions(10)) == 42
 
 
 def test_enumeration_is_decreasing_lex():
@@ -229,24 +223,4 @@ def test_enumeration_is_decreasing_lex():
 
 def test_enumeration_count_matches_exact_count_to_60():
     for n in range(61):
-        assert enumerate_partitions(n) == count_partitions(n)
-
-
-def test_visitor_protocol():
-    collected = []
-    count = enumerate_partitions(6, collected.append)
-    assert count == len(collected) == 11
-
-
-def test_bounded_enumeration():
-    bounded = list(partitions(6, max_part=3))
-    full = [p for p in partitions(6) if p[0] <= 3]
-    assert bounded == full
-
-
-def test_largest_part_split_covers_everything():
-    n = 12
-    merged = []
-    for m in range(n, 0, -1):
-        merged.extend(partitions_with_largest(n, m))
-    assert merged == list(partitions(n))
+        assert sum(1 for _ in partitions(n)) == count_partitions(n)

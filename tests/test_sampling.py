@@ -14,15 +14,11 @@ from young.counting import RestrictedCountTable, count_partitions
 from young.partitions import Partition, partitions
 from young.sampling import (
     RngStream,
-    _unrank,
-    boltzmann_acceptance_rate,
     exponential_sums,
     make_sampler,
     overflow_empirical,
-    sample_boltzmann,
     sample_boltzmann_batch,
     sample_surrogate,
-    sample_uniform_exact,
     slanted_heights,
     surrogate_batch,
     surrogate_overflow_bounds,
@@ -44,24 +40,26 @@ def test_rng_stream_replays_identically():
 
 
 def test_exact_sampler_basics(table30):
-    assert sample_uniform_exact(1, RngStream(0), table30) == Partition((1,))
+    assert make_sampler(1, RngStream(0), table30)() == (1,)
     for i in range(50):
-        p = sample_uniform_exact(30, RngStream(1, i), table30)
+        p = Partition(make_sampler(30, RngStream(1, i), table30)())
         assert p.n == 30
     with pytest.raises(ValueError, match="too small"):
-        sample_uniform_exact(31, RngStream(0), table30)
+        make_sampler(31, RngStream(0), table30)
 
 
 def test_exact_sampler_reproducible(table30):
-    run1 = [sample_uniform_exact(20, g, table30).parts
-            for g in [RngStream(9, 3).generator()] for _ in range(10)]
-    gen = RngStream(9, 3).generator()
-    run2 = [sample_uniform_exact(20, gen, table30).parts for _ in range(10)]
+    draw = make_sampler(20, RngStream(9, 3), table30)
+    run1 = [draw() for _ in range(10)]
+    draw = make_sampler(20, RngStream(9, 3), table30)
+    run2 = [draw() for _ in range(10)]
     assert run1 == run2
+    assert len(set(run1)) > 1
 
 
 def _unrank_by_full_rows(n, rows, rank):
-    # reference: the unranking over whole cumulative rows that _unrank replaced
+    # reference: the unranking over whole cumulative rows that the half-row
+    # `RestrictedCountTable.unrank` replaced
     parts = []
     v = n
     bound = n
@@ -88,10 +86,10 @@ def test_unrank_is_a_bijection_onto_increasing_lex_order():
     table = RestrictedCountTable.build(910)
     for n in range(60):
         p = count_partitions(n)
-        assert all(map(eq, map(_unrank, repeat(n), repeat(table), range(p - 1, -1, -1)),
+        assert all(map(eq, map(table.unrank, repeat(n), range(p - 1, -1, -1)),
                        partitions(n))), n
-    assert _unrank(910, table, 0) == (1,) * 910
-    assert _unrank(910, table, count_partitions(910) - 1) == (910,)
+    assert table.unrank(910, 0) == (1,) * 910
+    assert table.unrank(910, count_partitions(910) - 1) == (910,)
 
 
 def test_unrank_matches_full_row_reference():
@@ -101,7 +99,7 @@ def test_unrank_matches_full_row_reference():
     gen = random.Random(910)
     ranks = [0, 1, p - 2, p - 1] + [gen.randrange(p) for _ in range(20_000)]
     for rank in ranks:
-        assert _unrank(910, table, rank) == _unrank_by_full_rows(910, rows, rank), rank
+        assert table.unrank(910, rank) == _unrank_by_full_rows(910, rows, rank), rank
 
 
 def test_exact_sampler_uniform_chi_square(table30):
@@ -115,7 +113,7 @@ def test_exact_sampler_uniform_chi_square(table30):
 
 
 def test_boltzmann_basics():
-    assert sample_boltzmann(1, RngStream(4)) == Partition((1,))
+    assert sample_boltzmann_batch(1, RngStream(4), 1)[0] == [Partition((1,))]
     draws, bstats = sample_boltzmann_batch(12, RngStream(5), 200)
     assert all(p.n == 12 for p in draws)
     assert bstats.accepted == 200
@@ -148,7 +146,7 @@ def test_boltzmann_acceptance_rate_matches_closed_form(n):
 
 def test_boltzmann_acceptance_power_law():
     ns = [100, 400, 1600, 6400]
-    rates = [boltzmann_acceptance_rate(n, RngStream(7, i), accepted_target=120)
+    rates = [sample_boltzmann_batch(n, RngStream(7, i), 120)[1].acceptance_rate
              for i, n in enumerate(ns)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     slope = np.polyfit(np.log(ns), np.log(rates), 1)[0]
