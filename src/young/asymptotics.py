@@ -112,13 +112,12 @@ def _euler_terms_needed(re_u: float, tail: float = 1e-14) -> int | float:
     return max(int(math.ceil(t)), 1)
 
 
-def freiman_lhs(u: complex, terms: int | None = None) -> complex:
+def freiman_lhs(u: complex) -> complex:
     """log of the Euler product at q = e^{-u}, truncated to machine accuracy.
 
     u must be finite and lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
-    With terms=None the truncation point is chosen so the dropped tail is
-    below 1e-14; an explicit terms value that leaves a larger tail raises, and
-    so does a u whose tail needs more than EULER_MAX_TERMS terms.
+    The truncation point is chosen so the dropped tail is below 1e-14; a u
+    whose tail needs more than EULER_MAX_TERMS terms raises.
     """
     u = complex(u)
     if not cmath.isfinite(u):
@@ -127,14 +126,10 @@ def freiman_lhs(u: complex, terms: int | None = None) -> complex:
         raise ValueError("Re u must be positive")
     if abs(u.imag) > FREIMAN_WEDGE_RATIO * u.real:
         raise ValueError("u outside the wedge |Im u| <= ratio * Re u")
-    needed = _euler_terms_needed(u.real)
-    if needed > EULER_MAX_TERMS:
-        raise ValueError(f"Re u = {u.real:.3g} needs {needed} terms for a 1e-14 tail, "
+    terms = _euler_terms_needed(u.real)
+    if terms > EULER_MAX_TERMS:
+        raise ValueError(f"Re u = {u.real:.3g} needs {terms} terms for a 1e-14 tail, "
                          f"more than the {EULER_MAX_TERMS} that are summed")
-    if terms is None:
-        terms = needed
-    elif terms < needed:
-        raise ValueError(f"insufficient terms: need {needed} for a 1e-14 tail")
     # compensated (Kahan) summation: the sum is about pi^2/(6u), 4 pi^2/u^2
     # times the remainder u/24 past the main term, so a plain running sum of
     # 1e6 or more terms loses the remainder; this one errs by a few roundings
@@ -155,9 +150,9 @@ def freiman_main_term(u: complex) -> complex:
     return math.pi**2 / (6.0 * u) + 0.5 * cmath.log(u / (2.0 * math.pi))
 
 
-def freiman_remainder(u: complex, terms: int | None = None) -> complex:
+def freiman_remainder(u: complex) -> complex:
     """Difference between the truncated log-product and its closed-form core."""
-    return freiman_lhs(u, terms) - freiman_main_term(u)
+    return freiman_lhs(u) - freiman_main_term(u)
 
 
 @functools.lru_cache(maxsize=2)

@@ -3,7 +3,8 @@ output, reproducible seeds.
 
 stdout carries data only; logs and timing go to stderr.  With identical
 flags and seed the emitted body is byte-identical run to run.  Exit codes:
-0 success, 2 validation error, 3 cache or I/O error.
+0 success, 2 validation error (an input out of range, float range included),
+3 cache or I/O error.
 
 Output formats, the default first; `--format` exists only where there are two:
 
@@ -163,7 +164,6 @@ def _require_at_least(name: str, value: int, low: int) -> None:
 
 def cmd_sample(args) -> int:
     from . import sampling
-    from .partitions import Partition
 
     _require_at_least("n", args.n, 1)
     _require_at_least("count", args.count, 0)
@@ -173,14 +173,13 @@ def cmd_sample(args) -> int:
     if args.method == "exact":
         table = _load_table(args.n, args)
         draw = sampling.make_sampler(args.n, stream, table)
-        for _ in range(args.count):
-            p = Partition(draw())
-            sys.stdout.write(json.dumps(p.to_json()) + "\n")
+        # a generator, so exact draws stream out one at a time
+        draws = (draw() for _ in range(args.count))
     else:
         draws, stats = sampling.sample_boltzmann_batch(args.n, stream, args.count)
-        for p in draws:
-            sys.stdout.write(json.dumps(p.to_json()) + "\n")
         _log(f"acceptance rate {stats.acceptance_rate:.3g} over {stats.attempts} attempts")
+    for parts in draws:
+        sys.stdout.write(json.dumps(parts) + "\n")
     return 0
 
 
@@ -416,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         _log(f"error: {exc}")
         return 2
     except OSError as exc:

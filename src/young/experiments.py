@@ -70,6 +70,8 @@ def _require_mc_args(n: int, samples: int, k: int = 1) -> None:
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError("k must be positive")
+    if k > n:
+        raise ValueError(f"k must be at most n={n}, got {k}")
     _require_samples(samples)
 
 
@@ -202,7 +204,8 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
 # Surrogate product event and the Chernoff-type bounds of its analysis.
 
 # A surrogate chunk holds at most this many values in each of its (rows, k)
-# arrays, so each takes at most 1 MB whatever the sample count and k.
+# arrays, so each takes at most 1 MB whatever the sample count, for k up to
+# 2^17; a larger k gets one row of k values.
 _SURROGATE_CHUNK_VALUES = 1 << 17
 
 
@@ -224,7 +227,8 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
     import numpy as np
 
     ks = sorted(set(int(k) for k in ks))
-    _require_mc_args(n, samples, ks[0])
+    for k in (ks[0], ks[-1]):
+        _require_mc_args(n, samples, k)
     rng = _require_stream(rng)
     gen = rng.generator()
     kmax = ks[-1]
@@ -290,8 +294,8 @@ def ratio_bound(j: int, beta: float) -> float:
     """(1 + (beta-1)^2 / (4 beta))^{-j}, bounding P(S'_j/S_j >= beta)."""
     if j < 1:
         raise ValueError(f"j must be at least 1, got {j}")
-    if beta <= 1.0:
-        raise ValueError("beta must exceed 1")
+    if not 1.0 < beta < math.inf:
+        raise ValueError("beta must exceed 1 and be finite")
     return (1.0 + (beta - 1.0) ** 2 / (4.0 * beta)) ** (-j)
 
 

@@ -1,80 +1,38 @@
 """Partitions of an integer and their structural operations.
 
-A partition of n is a weakly decreasing sequence of positive integers
-summing to n, visualized as a Young diagram whose column heights are the
-parts.  This module holds the value type, conjugation, the Durfee square,
-the dominance order, three independent graphicality tests, the Gale-Ryser
-bipartite criterion, and exhaustive generation in decreasing lexicographic
-order with a constant-amortized-time successor rule (`partitions(n)`; count
-them with `sum(1 for _ in partitions(n))`).
+A partition of n is a weakly decreasing tuple of positive integers summing
+to n, visualized as a Young diagram whose column heights are the parts.
+This module holds conjugation, the Durfee square, the dominance order, three
+independent graphicality tests, the Gale-Ryser bipartite criterion, and
+exhaustive generation in decreasing lexicographic order with a
+constant-amortized-time successor rule (`partitions(n)`; count them with
+`sum(1 for _ in partitions(n))`).
 
-The public functions accept a `Partition` or any weakly decreasing iterable
-and validate it; the underscore kernels (`_conjugate`, `_dominates`,
-`_nash_williams`) take raw tuples from the samplers and enumeration unchecked.
+The public functions accept any weakly decreasing iterable of positive ints
+and validate it with `_parts_of`; the underscore kernels (`_conjugate`,
+`_dominates`, `_nash_williams`) take the tuples of the samplers and the
+enumeration unchecked.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-
-class Partition:
-    """Immutable weakly decreasing sequence of positive integers."""
-
-    __slots__ = ("parts", "n")
-
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        prev = None
-        total = 0
-        for p in parts:
-            if p < 1:
-                raise ValueError("parts must be positive integers")
-            if prev is not None and p > prev:
-                raise ValueError("parts must be weakly decreasing")
-            prev = p
-            total += p
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n", total)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.parts}"
-
-    def to_json(self) -> list[int]:
-        """Serialize as a plain list of parts, largest first."""
-        return list(self.parts)
+from typing import Iterator
 
 
 def _parts_of(p) -> tuple[int, ...]:
-    """Accept a Partition or any weakly decreasing iterable of parts."""
-    if isinstance(p, Partition):
-        return p.parts
-    return Partition(p).parts
+    """Validate outside input: any iterable of positive ints in weakly
+    decreasing order, returned as a tuple."""
+    parts = tuple(int(x) for x in p)
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError("parts must be weakly decreasing")
+    if parts and parts[-1] < 1:
+        raise ValueError("parts must be positive integers")
+    return parts
 
 
-def conjugate(p) -> Partition:
+def conjugate(p) -> tuple[int, ...]:
     """Transpose the Young diagram: part i of the result counts parts >= i."""
-    return Partition(_conjugate(_parts_of(p)))
+    return _conjugate(_parts_of(p))
 
 
 def _conjugate(parts: tuple[int, ...], k: int | None = None) -> tuple[int, ...]:

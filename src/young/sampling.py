@@ -27,7 +27,6 @@ import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import C
-from .partitions import Partition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,20 +121,23 @@ def _boltzmann_setup(n: int):
     return j, probs
 
 
-def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
-                           max_attempts: int | None = None):
-    """Draw `count` uniform partitions of n by rejection; returns (list, stats)."""
+# a batch that has made this many attempts without completing raises
+BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
+
+
+def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048):
+    """Draw `count` uniform partitions of n by rejection; returns (list of
+    part tuples, stats)."""
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be positive")
     gen = _as_generator(rng)
     weights, probs = _boltzmann_setup(n)
-    cap = max_attempts if max_attempts is not None else 2_000_000_000
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < count:
-        if attempts >= cap:
+        if attempts >= BOLTZMANN_MAX_ATTEMPTS:
             raise RuntimeError(f"no acceptance after {attempts} attempts")
         # geometric returns int64 already; decrement in place, with no copy
         mult = gen.geometric(probs, size=(chunk, len(weights)))
@@ -146,7 +148,7 @@ def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048,
             m = mult[row]
             sizes = np.nonzero(m)[0]
             parts = np.repeat(sizes[::-1] + 1, m[sizes][::-1])
-            out.append(Partition(int(x) for x in parts))
+            out.append(tuple(parts.tolist()))
         # the rows after the one that completes the batch are not attempts
         attempts += chunk if len(out) < count else int(hits[-1]) + 1
     return out, BoltzmannStats(attempts=attempts, accepted=len(out))

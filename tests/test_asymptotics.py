@@ -6,6 +6,7 @@ import pytest
 from young.asymptotics import (
     BAND_CONSTANT,
     CONSTANTS,
+    _euler_terms_needed,
     freiman_lhs,
     freiman_main_term,
     freiman_remainder,
@@ -101,8 +102,6 @@ def test_freiman_truncation_and_wedge():
         freiman_lhs(complex(0.1, 0.05))
     with pytest.raises(ValueError, match="Re u"):
         freiman_lhs(complex(-0.1, 0.0))
-    with pytest.raises(ValueError, match="terms"):
-        freiman_lhs(0.01, terms=10)
 
 
 def test_freiman_remainder_linear_decay():
@@ -123,9 +122,10 @@ def test_freiman_remainder_near_zero_is_minus_u_over_24(u):
 def test_freiman_lhs_matches_exactly_rounded_sum():
     # reference: the real and imaginary parts of the same terms summed by fsum
     u = complex(1e-4, 1e-5)
-    terms = [cmath.log(1.0 - cmath.exp(-k * u)) for k in range(1, 450_000)]
+    count = _euler_terms_needed(u.real)
+    terms = [cmath.log(1.0 - cmath.exp(-k * u)) for k in range(1, count + 1)]
     ref = -complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-    assert abs(freiman_lhs(u, len(terms)) - ref) <= 1e-15 * abs(ref)
+    assert abs(freiman_lhs(u) - ref) <= 1e-15 * abs(ref)
 
 
 def test_freiman_main_term_value():

@@ -206,6 +206,19 @@ def test_sample_seeded_draws_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_220_SHA256
 
 
+# stdout of `sample --method boltzmann --n 400 --count 20 --seed 5 --stream 3`,
+# recorded before Boltzmann draws became plain part tuples
+SAMPLE_BOLTZMANN_400_SHA256 = "a231c1d662966fbd16cbb407655be81584ebac3b8cac74a751da7a8dea8513a5"
+
+
+def test_sample_boltzmann_draws_are_pinned(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sample", "--method", "boltzmann", "--n", "400", "--count",
+                           "20", "--seed", "5", "--stream", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert len(out.splitlines()) == 21
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_BOLTZMANN_400_SHA256
+
+
 def test_sample_boltzmann(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sample", "--n", "12", "--count", "3",
                              "--method", "boltzmann", "--seed", "4",
@@ -328,6 +341,14 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("bound", "--n", "20", "--constant", "nan", "--format", "json"), "constant"),
     (("bound", "--n", "20", "--constant", "inf", "--format", "json"), "constant"),
     (("bound", "--n", "20", "--constant", "1000", "--format", "json"), "constant"),
+    (("chernoff", "--j", "5", "--beta", "nan", "--samples", "10"), "beta"),
+    (("chernoff", "--j", "5", "--beta", "inf", "--samples", "10"), "beta"),
+    (("asymptotic", "--n", str(10**400)), "too large"),
+    (("asymptotic", "--kind", "restricted", "--n", str(10**400), "--h", "1", "--w", "1"),
+     "too large"),
+    (("tv", "--n", str(10**400)), "too large"),
+    (("tv", "--mc", "--n", "10", "--k", "11"), "k must be at most"),
+    (("pk", "--n", "10", "--k", "11"), "k must be at most"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
@@ -336,7 +357,9 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "chernoff-d-j-0",
         "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1",
         "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
-        "bound-constant-underflow"])
+        "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
+        "asymptotic-n-huge", "asymptotic-restricted-n-huge", "tv-n-huge", "tv-mc-k-above-n",
+        "pk-k-above-n"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -416,7 +439,7 @@ _LIGHT = ("young.experiments", "dataclasses", "fractions")
 
 @pytest.mark.parametrize("argv, unloaded", [
     (None, ("young.counting", "young.sampling", "young.experiments")),
-    (("sample", "--n", "30"), _LIGHT),
+    (("sample", "--n", "30"), (*_LIGHT, "young.partitions")),
     (("wilf", "--n", "30", "--samples", "100"), ()),
     (("macdonald", "--n", "20", "--samples", "50"), ()),
     (("count-restricted", "--n", "150", "--r", "20", "--s", "30"), _LIGHT),

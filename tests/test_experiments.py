@@ -110,6 +110,8 @@ def test_pk_curve_nested_monotone():
     assert curve[1].value >= curve[10].value >= curve[100].value
     with pytest.raises(ValueError):
         surrogate_event_pk(100, 0, 10, RngStream(27))
+    with pytest.raises(ValueError, match="at most n=10"):
+        surrogate_event_pk_curve(10, [1, 11], 10, RngStream(27))
 
 
 def test_chernoff_bounds_and_validation():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from young import sampling
 from young.asymptotics import C
 from young.counting import RestrictedCountTable, count_partitions
-from young.partitions import Partition, partitions
+from young.partitions import partitions
 from young.sampling import (
     RngStream,
     exponential_sums,
@@ -42,8 +43,10 @@ def test_rng_stream_replays_identically():
 def test_exact_sampler_basics(table30):
     assert make_sampler(1, RngStream(0), table30)() == (1,)
     for i in range(50):
-        p = Partition(make_sampler(30, RngStream(1, i), table30)())
-        assert p.n == 30
+        p = make_sampler(30, RngStream(1, i), table30)()
+        assert type(p) is tuple
+        assert sum(p) == 30
+        assert all(a >= b >= 1 for a, b in zip(p, p[1:] + (1,)))
     with pytest.raises(ValueError, match="too small"):
         make_sampler(31, RngStream(0), table30)
 
@@ -112,20 +115,23 @@ def test_exact_sampler_uniform_chi_square(table30):
     assert p_value > 0.001
 
 
-def test_boltzmann_basics():
-    assert sample_boltzmann_batch(1, RngStream(4), 1)[0] == [Partition((1,))]
+def test_boltzmann_basics(monkeypatch):
+    assert sample_boltzmann_batch(1, RngStream(4), 1)[0] == [(1,)]
     draws, bstats = sample_boltzmann_batch(12, RngStream(5), 200)
-    assert all(p.n == 12 for p in draws)
+    assert all(type(p) is tuple and type(p[0]) is int for p in draws)
+    assert all(sum(p) == 12 for p in draws)
+    assert all(a >= b >= 1 for p in draws for a, b in zip(p, p[1:] + (1,)))
     assert bstats.accepted == 200
     assert 0.0 < bstats.acceptance_rate < 1.0
+    monkeypatch.setattr(sampling, "BOLTZMANN_MAX_ATTEMPTS", 0)
     with pytest.raises(RuntimeError, match="attempts"):
-        sample_boltzmann_batch(12, RngStream(5), 10**9, max_attempts=0)
+        sample_boltzmann_batch(12, RngStream(5), 10**9)
 
 
 def test_boltzmann_uniform_chi_square():
     n, draws = 8, 50_000
     accepted, _ = sample_boltzmann_batch(n, RngStream(6), draws, chunk=8192)
-    counts = Counter(p.parts for p in accepted)
+    counts = Counter(accepted)
     assert len(counts) == count_partitions(n)
     _, p_value = stats.chisquare(list(counts.values()))
     assert p_value > 0.001
