@@ -230,15 +230,16 @@ def cmd_macdonald(args) -> int:
     payload = {"op": "macdonald", "n": args.n,
                "bound_011": asymptotics.headline_bound(args.n, 0.11) if args.n >= 16 else None}
     if args.exact:
-        est = experiments.macdonald_comparable_exact(args.n)
-        payload.update({"mode": "exact", "estimate": est.to_dict()})
+        result = experiments.macdonald_comparable_exact(args.n)
+        payload["mode"] = "exact"
     else:
         experiments._require_mc_args(args.n, args.samples)
         table = _load_table(args.n, args)
         result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
-        payload.update({"mode": "monte-carlo",
-                        "estimate": result.comparable.to_dict(),
-                        "self_dual": result.self_dual.to_dict()})
+        payload.update({"mode": "monte-carlo", "self_dual": result.self_dual.to_dict()})
+    # "estimate" stays the one-sided P(lam dominates mu) for existing JSON readers
+    payload.update({"estimate": result.dominates.to_dict(),
+                    "comparable": result.comparable.to_dict()})
     _emit_json(payload)
     return 0
 

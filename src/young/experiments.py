@@ -6,6 +6,11 @@ Monte Carlo estimators carry full provenance (seed, stream, sample count) and
 exact estimators carry stderr 0, so results serialize into comparable
 records.
 
+Every exact-law Monte Carlo experiment reads its partitions from `_draws`,
+the module's one stream of exact uniform draws, and tallies its events over
+that stream with `sum` or a `Counter`.  Every surrogate experiment draws its
+sample in the chunks that `_surrogate_chunks` plans.
+
 numpy is imported only inside the functions that use it, so the exact and
 pure-Python experiments start without it.  Likewise the command line imports
 this module only in the subcommands that run an experiment.
@@ -96,6 +101,13 @@ def _require_stream(rng) -> RngStream:
     return rng
 
 
+def _draws(n: int, count: int, rng: RngStream, table: RestrictedCountTable):
+    """Iterator over `count` exact uniform partitions of n, drawn in turn
+    from rng's stream."""
+    draw = make_sampler(n, _require_stream(rng), table)
+    return (draw() for _ in range(count))
+
+
 WILF_EXACT_CAP = 80
 
 
@@ -105,16 +117,8 @@ def wilf_graphical_counts(n: int) -> tuple[int, int]:
     _require_even(n)
     if n > WILF_EXACT_CAP:
         raise ValueError(f"n={n} beyond enumeration cap {WILF_EXACT_CAP}; use wilf_fraction_mc")
-    if n == 0:
-        return 1, 1
-    graphical = 0
-    total = 0
-    check = _nash_williams
-    for parts in partitions(n):
-        total += 1
-        if check(parts):
-            graphical += 1
-    return graphical, total
+    tally = Counter(map(_nash_williams, partitions(n)))
+    return tally[True], tally.total()
 
 
 def wilf_fraction_exact(n: int) -> Estimate:
@@ -127,36 +131,26 @@ def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> 
     """Monte Carlo fraction of graphical partitions via the exact sampler."""
     _require_even(n)
     _require_mc_args(n, samples)
-    rng = _require_stream(rng)
-    draw = make_sampler(n, rng, table)
-    check = _nash_williams
-    hits = 0
-    for _ in range(samples):
-        if check(draw()):
-            hits += 1
+    hits = sum(map(_nash_williams, _draws(n, samples, rng, table)))
     return _bernoulli_estimate(hits, samples, rng)
 
 
 # Dominance comparability of two independent uniform partitions.
 
-def _prefix_matrix(parts_list: list[tuple[int, ...]]) -> np.ndarray:
-    import numpy as np
-
-    depth = max((len(p) for p in parts_list), default=1)
-    mat = np.zeros((len(parts_list), depth), dtype=np.int64)
-    for i, p in enumerate(parts_list):
-        mat[i, :len(p)] = p
-    return np.cumsum(mat, axis=1)
-
-
 MACDONALD_EXACT_CAP = 25
 
 
-def macdonald_comparable_exact(n: int) -> Estimate:
-    """Exact probability that one uniform partition dominates another.
+class MacdonaldExact(NamedTuple):
+    dominates: Estimate
+    comparable: Estimate
 
-    Counts ordered pairs (lam, mu) with mu below lam in dominance order over
-    all p(n)^2 pairs.
+
+def macdonald_comparable_exact(n: int) -> MacdonaldExact:
+    """Exact P(lam dominates mu) and P(lam and mu are comparable) for two
+    independent uniform partitions, over all p(n)^2 ordered pairs.
+
+    Only equal partitions dominate each other both ways, so c dominating
+    pairs give 2c - p(n) comparable ones.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -164,38 +158,44 @@ def macdonald_comparable_exact(n: int) -> Estimate:
         raise ValueError(f"n={n} beyond pair-enumeration cap {MACDONALD_EXACT_CAP}")
     import numpy as np
 
-    prefix = _prefix_matrix(list(partitions(n)))
-    count = len(prefix)
-    comparable = 0
+    plist = list(partitions(n))
+    count = len(plist)
+    parts = np.zeros((count, n), dtype=np.int64)  # the longest partition has n parts
+    for i, p in enumerate(plist):
+        parts[i, :len(p)] = p
+    prefix = np.cumsum(parts, axis=1)
+    dominating = 0
     block = 512
     for lo in range(0, count, block):
         chunk = prefix[lo:lo + block]
         # pair (i, j) counted when prefix_i >= prefix_j everywhere
-        comparable += int(np.all(chunk[:, None, :] >= prefix[None, :, :], axis=2).sum())
-    return _exact_estimate(comparable / count**2, samples=count**2)
+        dominating += int(np.all(chunk[:, None, :] >= prefix[None, :, :], axis=2).sum())
+    return MacdonaldExact(
+        dominates=_exact_estimate(dominating / count**2, samples=count**2),
+        comparable=_exact_estimate((2 * dominating - count) / count**2, samples=count**2),
+    )
 
 
 class MacdonaldMC(NamedTuple):
+    dominates: Estimate
     comparable: Estimate
     self_dual: Estimate
 
 
 def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> MacdonaldMC:
-    """Monte Carlo dominance probability for independent pairs, plus the
-    probability that a single draw is dominated by its own conjugate."""
+    """Monte Carlo P(lam dominates mu) and P(comparable) over independent
+    pairs, plus P(conjugate of lam dominates lam) for a single draw."""
     _require_mc_args(n, samples)
-    rng = _require_stream(rng)
-    draw = make_sampler(n, rng, table)
-    comparable = 0
-    self_dual = 0
-    for _ in range(samples):
-        lam = draw()
-        mu = draw()
-        if _dominates(lam, mu):
-            comparable += 1
-        if _dominates(_conjugate(lam), lam):
-            self_dual += 1
+    # each pair takes two consecutive draws of one stream: lam, then mu
+    draws = _draws(n, 2 * samples, rng, table)
+    dominating = comparable = self_dual = 0
+    for lam, mu in zip(draws, draws):
+        forward = _dominates(lam, mu)
+        dominating += forward
+        comparable += forward or _dominates(mu, lam)
+        self_dual += _dominates(_conjugate(lam), lam)
     return MacdonaldMC(
+        dominates=_bernoulli_estimate(dominating, samples, rng),
         comparable=_bernoulli_estimate(comparable, samples, rng),
         self_dual=_bernoulli_estimate(self_dual, samples, rng),
     )
@@ -209,8 +209,10 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
 _SURROGATE_CHUNK_VALUES = 1 << 17
 
 
-def _surrogate_rows(k: int) -> int:
-    return max(1, _SURROGATE_CHUNK_VALUES // k)
+def _surrogate_chunks(samples: int, k: int) -> list[int]:
+    """Row counts of the chunks that together draw `samples` rows of k values."""
+    rows = max(1, _SURROGATE_CHUNK_VALUES // k)
+    return [min(rows, samples - done) for done in range(0, samples, rows)]
 
 
 def surrogate_event_pk(n: int, k: int, samples: int, rng) -> Estimate:
@@ -227,23 +229,21 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
     import numpy as np
 
     ks = sorted(set(int(k) for k in ks))
+    if not ks:
+        raise ValueError("ks must name at least one k")
     for k in (ks[0], ks[-1]):
         _require_mc_args(n, samples, k)
     rng = _require_stream(rng)
     gen = rng.generator()
     kmax = ks[-1]
-    rows = _surrogate_rows(kmax)
     hits = np.zeros(len(ks), dtype=np.int64)
-    done = 0
     thresh = -math.log(2.0)
     idx = [k - 1 for k in ks]
-    while done < samples:
-        m = min(rows, samples - done)
+    for m in _surrogate_chunks(samples, kmax):
         s, s_dual = exponential_sums(gen, m, kmax)
         drift = np.cumsum(np.log(s_dual) - np.log(s), axis=1)
         running_min = np.minimum.accumulate(drift, axis=1)[:, idx]
         hits += np.count_nonzero(running_min >= thresh, axis=0)
-        done += m
     return {k: _bernoulli_estimate(int(h), samples, rng) for k, h in zip(ks, hits)}
 
 
@@ -271,23 +271,26 @@ class BoundCheck(NamedTuple):
         return self.empirical <= self.bound + 5.0 * self.stderr
 
 
+def _gamma_tail_check(samples: int, rng, event, bound: float, loose: float) -> BoundCheck:
+    """Frequency of event(gen), a boolean array over `samples` draws from the
+    generator of rng's stream, next to its analytic bounds."""
+    _require_samples(samples)
+    gen = _require_stream(rng).generator()
+    emp = float(event(gen).mean())
+    stderr = math.sqrt(emp * (1.0 - emp) / samples)
+    return BoundCheck(empirical=emp, bound=bound, bound_loose=loose,
+                      stderr=stderr, samples=samples)
+
+
 def chernoff_validate(j: int, d: float, samples: int, rng) -> BoundCheck:
     """Empirical P(|S_j/j - 1| >= d) against its Chernoff bounds.
 
     S_j is drawn as Gamma(j), equal in law to the partial sum of j unit
     exponentials.
     """
-    import numpy as np
-
     bound, loose = chernoff_bounds(j, d)
-    _require_samples(samples)
-    rng = _require_stream(rng)
-    gen = rng.generator()
-    s = gen.gamma(j, size=samples)
-    emp = float(np.mean(np.abs(s / j - 1.0) >= d))
-    stderr = math.sqrt(emp * (1.0 - emp) / samples)
-    return BoundCheck(empirical=emp, bound=bound, bound_loose=loose,
-                      stderr=stderr, samples=samples)
+    return _gamma_tail_check(
+        samples, rng, lambda gen: abs(gen.gamma(j, size=samples) / j - 1.0) >= d, bound, loose)
 
 
 def ratio_bound(j: int, beta: float) -> float:
@@ -301,18 +304,12 @@ def ratio_bound(j: int, beta: float) -> float:
 
 def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:
     """Empirical P(S'_j/S_j >= beta) against the moment bound."""
-    import numpy as np
-
     bound = ratio_bound(j, beta)
-    _require_samples(samples)
-    rng = _require_stream(rng)
-    gen = rng.generator()
-    s = gen.gamma(j, size=samples)
-    s_dual = gen.gamma(j, size=samples)
-    emp = float(np.mean(s_dual >= beta * s))
-    stderr = math.sqrt(emp * (1.0 - emp) / samples)
-    return BoundCheck(empirical=emp, bound=bound, bound_loose=bound,
-                      stderr=stderr, samples=samples)
+    # S_j is drawn first, then S'_j
+    return _gamma_tail_check(
+        samples, rng,
+        lambda gen: beta * gen.gamma(j, size=samples) <= gen.gamma(j, size=samples),
+        bound, bound)
 
 
 # Total variation distance between the joint law of the largest part and
@@ -481,39 +478,27 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     if n < 2:
         raise ValueError("n must be at least 2")
     _require_mc_args(n, samples, k)
-    rng = _require_stream(rng)
     clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))
     if compare_with not in ("surrogate", "self"):
         raise ValueError("compare_with must be 'surrogate' or 'self'")
 
-    def exact_counts(stream: RngStream) -> Counter:
-        draw = make_sampler(n, stream, table)
-        counts: Counter = Counter()
-        for _ in range(samples):
-            parts = draw()
-            head = tuple(min(p, clip) for p in parts[:k]) + (0,) * max(0, k - len(parts))
-            dual = tuple(min(q, clip) for q in _conjugate(parts, k))
-            counts[head + dual] += 1
-        return counts
+    def cell(parts: tuple[int, ...]) -> tuple[int, ...]:
+        head = tuple(min(p, clip) for p in parts[:k]) + (0,) * max(0, k - len(parts))
+        return head + tuple(min(q, clip) for q in _conjugate(parts, k))
 
-    counts_true = exact_counts(rng)
+    counts_true = Counter(map(cell, _draws(n, samples, rng, table)))
+    model = rng.split(rng.stream_id + 1)
     if compare_with == "self":
-        counts_model = exact_counts(rng.split(rng.stream_id + 1))
+        counts_model = Counter(map(cell, _draws(n, samples, model, table)))
     else:
         import numpy as np
 
         counts_model = Counter()
-        gen = rng.split(rng.stream_id + 1).generator()
-        rows = _surrogate_rows(k)
-        done = 0
-        while done < samples:
-            m = min(rows, samples - done)
+        gen = model.generator()
+        for m in _surrogate_chunks(samples, k):
             _, _, heights, widths = surrogate_batch(n, k, gen, m)
-            np.clip(heights, 0, clip, out=heights)
-            np.clip(widths, 0, clip, out=widths)
-            for head, dual in zip(heights.tolist(), widths.tolist()):
-                counts_model[tuple(head + dual)] += 1
-            done += m
+            cells = np.clip(np.hstack((heights, widths)), 0, clip)
+            counts_model.update(map(tuple, cells.tolist()))
 
     keys = counts_true.keys() | counts_model.keys()
     tv = 0.5 * sum(abs(counts_true[key] - counts_model[key]) for key in keys) / samples

@@ -200,14 +200,13 @@ def sample_surrogate(n: int, k: int, rng) -> SurrogateDraw:
     """One surrogate draw: 2k exponentials via inverse CDF, then the slant."""
     if k < 1 or n < 1:
         raise ValueError("n and k must be positive")
-    s, s_dual = exponential_sums(rng, 1, k)
-    s, s_dual = s[0], s_dual[0]
+    s, s_dual, heights, widths = surrogate_batch(n, k, rng, 1)
     return SurrogateDraw(
         n=n, k=k,
-        sums=tuple(float(x) for x in s),
-        dual_sums=tuple(float(x) for x in s_dual),
-        col_heights=tuple(int(x) for x in slanted_heights(n, s)),
-        row_lengths=tuple(int(x) for x in slanted_heights(n, s_dual)),
+        sums=tuple(s[0].tolist()),
+        dual_sums=tuple(s_dual[0].tolist()),
+        col_heights=tuple(heights[0].tolist()),
+        row_lengths=tuple(widths[0].tolist()),
     )
 
 

@@ -300,12 +300,12 @@ def test_criterion_10_surrogate_closed_forms():
 
 
 def test_criterion_11_macdonald(table910):
-    assert macdonald_comparable_exact(2).value == 0.75
+    assert macdonald_comparable_exact(2).dominates.value == 0.75
     for n in (2, 6, 10):
         exact = macdonald_comparable_exact(n)
         mc = macdonald_comparable_mc(n, 100_000, RngStream(SEED, 12 + n), table910)
-        gap = abs(mc.comparable.value - exact.value)
-        assert gap <= 3.0 * mc.comparable.stderr, (n, exact.value, mc.comparable.value)
+        gap = abs(mc.dominates.value - exact.dominates.value)
+        assert gap <= 3.0 * mc.dominates.stderr, (n, exact.dominates.value, mc.dominates.value)
     print("ACCEPTANCE 11 dominance comparability exact/MC: PASS (n in {2, 6, 10})")
 
 

@@ -264,6 +264,46 @@ def test_macdonald(capsys, tmp_path):
     assert "self_dual" in payload
 
 
+def test_macdonald_reports_both_directions(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "macdonald", "--n", "10", "--exact")
+    (payload,) = check_json_lines(out)
+    assert payload["estimate"]["value"] == pytest.approx(818 / 1764)
+    assert payload["comparable"]["value"] == 797 / 882
+    # estimate and self_dual as recorded before the two-sided value was added
+    code, out, _ = run_cli(capsys, "macdonald", "--n", "40", "--samples", "1000", "--seed", "12",
+                           "--stream", "3", "--cache-dir", str(tmp_path))
+    (payload,) = check_json_lines(out)
+    provenance = {"method": "monte-carlo", "samples": 1000, "seed": 12, "stream_id": 3}
+    assert payload["estimate"] == {**provenance, "value": 0.355,
+                                   "stderr": 0.015131919904625453}
+    assert payload["self_dual"] == {**provenance, "value": 0.454,
+                                    "stderr": 0.015744332313566048}
+    assert payload["comparable"]["value"] == 0.683
+
+
+# stdout sha256 of seeded Monte Carlo calls, recorded before every experiment
+# read its draws from one stream and tallied them in one place
+@pytest.mark.parametrize("argv, digest", [
+    ("wilf --n 60 --samples 2000 --seed 11 --stream 2",
+     "402f3f51a350c52657f50daece548c476698cf47a14af1e9381870ea0a24f26c"),
+    ("tv --mc --n 60 --k 2 --samples 2000 --seed 13 --stream 4",
+     "e1f2f7b77663f1fb04f1d0770749e1b2f36c7368a42ff6e198821bb3af574104"),
+    ("pk --n 910 --k 16 --samples 20000 --seed 14 --stream 1",
+     "a10dfb25347a958dcf7e72a20b2a5d43ac690c46669b3c46e305bba96509e051"),
+    ("chernoff --j 5 --d 0.3 --samples 20000 --seed 15",
+     "c127a84501d93d579815db7169e8d6ba3155f1fc1e6458158fa043ce3d674c1c"),
+    ("chernoff --j 5 --beta 2 --samples 20000 --seed 15",
+     "cde697314e1f5918937d545365608dbf77157812b3c068783d702e6816f299bd"),
+    ("sample-surrogate --n 910 --k 4 --count 50 --seed 16 --stream 1",
+     "2a284338db265c632969b10ddda92309b29b1c17ae17418cc98a475d1c36f189"),
+], ids=["wilf", "tv-mc", "pk", "chernoff-d", "chernoff-beta", "sample-surrogate"])
+def test_seeded_monte_carlo_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_pk(capsys):
     code, out, _ = run_cli(capsys, "pk", "--n", "100", "--k", "1", "--samples", "50000",
                            "--seed", "6")
@@ -407,7 +447,7 @@ def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv)
 
 @pytest.mark.parametrize("argv, estimates", [
     (("wilf", "--n", "2", "--samples", "1"), ("estimate",)),
-    (("macdonald", "--n", "1", "--samples", "10"), ("estimate", "self_dual")),
+    (("macdonald", "--n", "1", "--samples", "10"), ("estimate", "comparable", "self_dual")),
     (("pk", "--n", "910", "--k", "1", "--samples", "1"), ("estimate",)),
 ], ids=["wilf", "macdonald", "pk"])
 def test_monte_carlo_with_all_hits_or_none_counts_half_a_hit(capsys, tmp_path, monkeypatch,

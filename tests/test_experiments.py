@@ -65,7 +65,12 @@ def test_wilf_mc_n2_converges(table60):
     assert est.value == pytest.approx(0.5, abs=3 * est.stderr)
 
 
-@pytest.mark.parametrize("experiment", [wilf_fraction_mc, macdonald_comparable_mc])
+@pytest.mark.parametrize("experiment", [
+    wilf_fraction_mc,
+    macdonald_comparable_mc,
+    pytest.param(lambda n, samples, rng, table: tv_distance_mc(n, 1, samples, rng, table),
+                 id="tv_distance_mc"),
+])
 def test_mc_experiments_check_samples_before_the_table(experiment):
     # the table is too small for n; the sample count is rejected first
     with pytest.raises(ValueError, match="samples"):
@@ -73,10 +78,24 @@ def test_mc_experiments_check_samples_before_the_table(experiment):
 
 
 def test_macdonald_exact_values():
-    assert macdonald_comparable_exact(1).value == 1.0
-    assert macdonald_comparable_exact(2).value == 0.75
+    assert macdonald_comparable_exact(1).dominates.value == 1.0
+    assert macdonald_comparable_exact(2).dominates.value == 0.75
     with pytest.raises(ValueError):
         macdonald_comparable_exact(26)
+
+
+def test_macdonald_two_sided_exact_values():
+    # (2c - p(n)) / p(n)^2 with c ordered pairs lam >= mu; one-sided c / p(n)^2
+    # dominance is a total order on the partitions of n <= 5
+    assert all(macdonald_comparable_exact(n).comparable.value == 1.0 for n in range(1, 6))
+    ten = macdonald_comparable_exact(10)
+    assert ten.comparable.value == 797 / 882
+    assert ten.dominates.value == pytest.approx(0.4637, abs=1e-4)
+    for n, two_sided, one_sided in ((20, 0.7822343, 0.3919), (25, 0.7453850, 0.3729)):
+        result = macdonald_comparable_exact(n)
+        assert result.comparable.value == pytest.approx(two_sided, abs=1e-7)
+        assert result.dominates.value == pytest.approx(one_sided, abs=1e-4)
+        assert result.comparable.samples == count_partitions(n) ** 2
 
 
 def test_macdonald_exact_matches_brute_force():
@@ -84,19 +103,36 @@ def test_macdonald_exact_matches_brute_force():
     n = 7
     plist = list(partitions(n))
     direct = sum(dominates(lam, mu) for lam in plist for mu in plist)
-    assert macdonald_comparable_exact(n).value == pytest.approx(direct / len(plist) ** 2)
+    assert macdonald_comparable_exact(n).dominates.value == pytest.approx(direct / len(plist) ** 2)
+
+
+def test_macdonald_two_sided_matches_brute_force():
+    from young.partitions import dominates, partitions
+    n = 7
+    plist = list(partitions(n))
+    direct = sum(dominates(lam, mu) or dominates(mu, lam) for lam in plist for mu in plist)
+    assert macdonald_comparable_exact(n).comparable.value == pytest.approx(
+        direct / len(plist) ** 2)
 
 
 def test_macdonald_mc_agreement(table60):
     exact = macdonald_comparable_exact(6)
     result = macdonald_comparable_mc(6, 20_000, RngStream(24), table60)
-    assert abs(result.comparable.value - exact.value) <= 3.0 * result.comparable.stderr
+    assert abs(result.dominates.value - exact.dominates.value) <= 3.0 * result.dominates.stderr
     assert 0.0 <= result.self_dual.value <= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_macdonald_two_sided_mc_agreement(table60, n):
+    exact = macdonald_comparable_exact(n).comparable
+    result = macdonald_comparable_mc(n, 20_000, RngStream(28, n), table60)
+    assert abs(result.comparable.value - exact.value) <= 3.0 * result.comparable.stderr
+    assert result.comparable.value >= result.dominates.value
 
 
 def test_macdonald_both_probabilities_drop_below_half(table60):
     result = macdonald_comparable_mc(40, 20_000, RngStream(25), table60)
-    assert result.comparable.value < 0.5
+    assert result.dominates.value < 0.5
     assert result.self_dual.value < 0.5
 
 
@@ -112,6 +148,8 @@ def test_pk_curve_nested_monotone():
         surrogate_event_pk(100, 0, 10, RngStream(27))
     with pytest.raises(ValueError, match="at most n=10"):
         surrogate_event_pk_curve(10, [1, 11], 10, RngStream(27))
+    with pytest.raises(ValueError, match="ks"):
+        surrogate_event_pk_curve(10, [], 10, RngStream(27))
 
 
 def test_chernoff_bounds_and_validation():
