@@ -162,6 +162,10 @@ def _require_at_least(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
+# the most Boltzmann draws `sample` holds at once
+BOLTZMANN_BLOCK = 1024
+
+
 def cmd_sample(args) -> int:
     from . import sampling
 
@@ -173,13 +177,25 @@ def cmd_sample(args) -> int:
     if args.method == "exact":
         table = _load_table(args.n, args)
         draw = sampling.make_sampler(args.n, stream, table)
-        # a generator, so exact draws stream out one at a time
-        draws = (draw() for _ in range(args.count))
-    else:
-        draws, stats = sampling.sample_boltzmann_batch(args.n, stream, args.count)
-        _log(f"acceptance rate {stats.acceptance_rate:.3g} over {stats.attempts} attempts")
-    for parts in draws:
-        sys.stdout.write(json.dumps(parts) + "\n")
+        # exact draws stream out one at a time
+        for _ in range(args.count):
+            sys.stdout.write(json.dumps(draw()) + "\n")
+        return 0
+    # Boltzmann draws go out in blocks from one generator, so memory does not
+    # grow with --count
+    gen = stream.generator()
+    total = sampling.BoltzmannStats(attempts=0, accepted=0)
+    for start in range(0, args.count, BOLTZMANN_BLOCK):
+        draws, stats = sampling.sample_boltzmann_batch(
+            args.n, gen, min(BOLTZMANN_BLOCK, args.count - start))
+        total = sampling.BoltzmannStats(total.attempts + stats.attempts,
+                                        total.accepted + stats.accepted)
+        for parts in draws:
+            sys.stdout.write(json.dumps(parts) + "\n")
+        del draws  # free this block before the next one is drawn
+    _log(f"acceptance rate {total.acceptance_rate:.3g} "
+         f"(expected {sampling.boltzmann_expected_rate(args.n):.3g}) "
+         f"over {total.attempts} attempts")
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Random generation: exact uniform partitions, Boltzmann rejection, and the
-exponential-sums surrogate for the extremities of a random diagram.
+"""Random generation: exact uniform partitions, Boltzmann draws by
+probabilistic divide-and-conquer, and the exponential-sums surrogate for the
+extremities of a random diagram.
 
 An exact uniform partition of n is drawn by unranking: one uniform integer
 below p(n) is mapped to a partition by `RestrictedCountTable.unrank`, which
@@ -7,8 +8,18 @@ walks the by-largest-part count rows (Nijenhuis and Wilf, Combinatorial
 Algorithms, ch. 10).  The map is a bijection, so each draw costs one
 big-integer uniform and is exactly uniform with no rejection beyond that of
 the uniform itself.  `make_sampler` is the one entry point for exact draws; it
-takes an `RngStream`.  Boltzmann draws come from `sample_boltzmann_batch`,
-whose stats carry the acceptance rate.
+takes an `RngStream`.
+
+Boltzmann draws come from `sample_boltzmann_batch`, whose memory does not grow
+with n squared.  It draws the multiplicities of the parts 2, 3, ... as
+independent geometrics at q = e^{-c/sqrt n} and decides the 1s last: with
+R = n minus the weight drawn, an attempt with R >= 0 is accepted with
+probability q^R and completed by R ones.  Every partition of n is then
+accepted with the same probability q^n prod_{j>=2} (1 - q^j), so the law is
+uniform, and an attempt succeeds with probability p(n) q^n prod_{j>=2} (1 - q^j),
+about n^{-1/4} (Arratia and DeSalvo, Combin. Probab. Comput. 25, 2016).  Its
+stats carry the acceptance rate; `boltzmann_expected_rate` gives the expected
+one.
 
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
@@ -26,7 +37,7 @@ import math
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .asymptotics import C
+from .asymptotics import C, hardy_ramanujan_log
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,8 +107,8 @@ def make_sampler(n: int, rng: RngStream, table: RestrictedCountTable):
     return draw
 
 
-# Boltzmann sampling: independent geometric multiplicities at q = e^{-c/sqrt n},
-# rejected unless the total weight is exactly n, which leaves the uniform law.
+# Boltzmann sampling by probabilistic divide-and-conquer: independent geometric
+# multiplicities of the parts 2..jmax at q = e^{-c/sqrt n}, then the 1s last.
 
 class BoltzmannStats(NamedTuple):
     attempts: int
@@ -109,6 +120,8 @@ class BoltzmannStats(NamedTuple):
 
 
 def _boltzmann_setup(n: int):
+    """(q, part sizes 2..jmax, their success probabilities 1 - q^j, expected
+    acceptance rate) for draws of size n."""
     import numpy as np
 
     q = math.exp(-C / math.sqrt(n))
@@ -116,41 +129,76 @@ def _boltzmann_setup(n: int):
     # smaller than the rejection loop can ever observe.  Parts above n are
     # dropped too: an accepted draw has none, so the accepted law is unchanged
     jmax = min(int(80.0 * math.log(2.0) * math.sqrt(n) / C) + 1, n)
-    j = np.arange(1, jmax + 1)
+    j = np.arange(2, jmax + 1)
     probs = -np.expm1(j * math.log(q))  # 1 - q^j, accurate near 0
-    return j, probs
+    # p(n) q^n prod (1 - q^j) in log space, p(n) at leading order
+    log_rate = hardy_ramanujan_log(n) + n * math.log(q) + float(np.log(probs).sum())
+    return q, j, probs, math.exp(log_rate)
+
+
+def boltzmann_expected_rate(n: int) -> float:
+    """Expected acceptance rate of `sample_boltzmann_batch` at n.
+
+    The exact rate is p(n) q^n prod_{2<=j<=jmax} (1 - q^j); here p(n) is its
+    Hardy-Ramanujan leading term, which overstates it by 2.3% at n=400 and
+    0.4% at n=10^4, so no big integer is built at large n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _boltzmann_setup(n)[3]
 
 
 # a batch that has made this many attempts without completing raises
 BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
 
+# one chunk's multiplicity matrix holds at most this many int64 entries (32 MiB)
+BOLTZMANN_CHUNK_ENTRIES = 2**22
+
 
 def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048):
-    """Draw `count` uniform partitions of n by rejection; returns (list of
-    part tuples, stats)."""
+    """Draw `count` uniform partitions of n; returns (list of part tuples, stats).
+
+    Probabilistic divide-and-conquer with the 1s decided last (Arratia and
+    DeSalvo, Combin. Probab. Comput. 25, 2016).  An attempt draws the
+    multiplicities Z_2..Z_jmax as independent geometrics, P(Z_j = k) =
+    (1 - q^j) q^{jk} with q = e^{-c/sqrt n}, and sets R = n - sum_j j Z_j.
+    When R >= 0 it is accepted with probability q^R and completed by R parts
+    equal to 1.  A partition is then accepted with probability
+    q^n prod_{2<=j<=jmax} (1 - q^j), the same for every partition, so the
+    accepted law is uniform, and an attempt is accepted with probability
+    p(n) q^n prod_{2<=j<=jmax} (1 - q^j), about n^{-1/4}.
+
+    Each chunk of attempts is sized from that rate to the draws still
+    missing, capped by `chunk` rows and by BOLTZMANN_CHUNK_ENTRIES entries.
+    """
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be positive")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     gen = _as_generator(rng)
-    weights, probs = _boltzmann_setup(n)
+    q, weights, probs, rate = _boltzmann_setup(n)
+    max_rows = max(1, min(chunk, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights))))
     out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < count:
         if attempts >= BOLTZMANN_MAX_ATTEMPTS:
             raise RuntimeError(f"no acceptance after {attempts} attempts")
+        rows = min(max_rows, math.ceil((count - len(out)) / rate))
         # geometric returns int64 already; decrement in place, with no copy
-        mult = gen.geometric(probs, size=(chunk, len(weights)))
+        mult = gen.geometric(probs, size=(rows, len(weights)))
         mult -= 1
-        totals = mult @ weights
-        hits = np.nonzero(totals == n)[0][:count - len(out)]
+        ones = n - mult @ weights
+        keep = gen.random(rows) < q ** np.maximum(ones, 0)
+        hits = np.nonzero(keep & (ones >= 0))[0][:count - len(out)]
         for row in hits:
             m = mult[row]
             sizes = np.nonzero(m)[0]
-            parts = np.repeat(sizes[::-1] + 1, m[sizes][::-1])
-            out.append(tuple(parts.tolist()))
+            parts = np.repeat(sizes[::-1] + 2, m[sizes][::-1]).tolist()
+            out.append(tuple(parts + [1] * int(ones[row])))
         # the rows after the one that completes the batch are not attempts
-        attempts += chunk if len(out) < count else int(hits[-1]) + 1
+        attempts += rows if len(out) < count else int(hits[-1]) + 1
     return out, BoltzmannStats(attempts=attempts, accepted=len(out))
 
 

@@ -15,6 +15,7 @@ import pytest
 import young
 from young.cli import main
 from young.counting import RestrictedCountTable
+from young.sampling import boltzmann_expected_rate
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text())
 SRC = str(Path(young.__file__).resolve().parents[1])
@@ -207,8 +208,8 @@ def test_sample_seeded_draws_are_pinned(capsys, tmp_path):
 
 
 # stdout of `sample --method boltzmann --n 400 --count 20 --seed 5 --stream 3`,
-# recorded before Boltzmann draws became plain part tuples
-SAMPLE_BOLTZMANN_400_SHA256 = "a231c1d662966fbd16cbb407655be81584ebac3b8cac74a751da7a8dea8513a5"
+# recorded when the Boltzmann sampler began to decide the 1s last
+SAMPLE_BOLTZMANN_400_SHA256 = "cfbd22e25915973c4608f7774ae509e8664c88a6c1b6d5d0a3db1449a68ea1dc"
 
 
 def test_sample_boltzmann_draws_are_pinned(capsys, tmp_path):
@@ -225,8 +226,38 @@ def test_sample_boltzmann(capsys, tmp_path):
                              "--cache-dir", str(tmp_path))
     assert code == 0
     draws = [json.loads(line) for line in out.strip().splitlines()[1:]]
-    assert all(sum(d) == 12 for d in draws)
-    assert "acceptance" in err
+    assert len(draws) == 3 and all(sum(d) == 12 for d in draws)
+    # stderr reports the observed rate next to the expected one
+    match = re.search(r"acceptance rate (\S+) \(expected (\S+)\) over (\d+) attempts", err)
+    assert match, err
+    observed, expected, attempts = match.groups()
+    assert observed == f"{3 / int(attempts):.3g}"
+    assert expected == f"{boltzmann_expected_rate(12):.3g}"
+
+
+def test_sample_boltzmann_streams_in_blocks(capsys, tmp_path):
+    # draws are written a block at a time, so peak RSS does not grow with
+    # --count
+    def peak_rss(count: int) -> int:
+        argv = ["sample", "--method", "boltzmann", "--n", "30", "--count", str(count),
+                "--seed", "2"]
+        # the CLI runs as a child of a small interpreter: a process forked
+        # from this test process would count the test process's RSS
+        result = run_python("import resource, subprocess, sys; "
+                            f"subprocess.run([sys.executable, '-m', 'young.cli', *{argv!r}], "
+                            "check=True); "
+                            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+                            "file=sys.stderr)", tmp_path)
+        assert result.returncode == 0, result.stderr.decode()
+        assert len(result.stdout.splitlines()) == count + 1
+        return int(result.stderr.split()[-1])
+
+    assert abs(peak_rss(100_000) - peak_rss(1000)) < 1024  # KiB on Linux
+    # several blocks replay byte-identically from one stream
+    args = ["sample", "--method", "boltzmann", "--n", "30", "--count", "2100", "--seed", "2"]
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0 and len(first.splitlines()) == 2101
+    assert run_cli(capsys, *args)[1] == first
 
 
 def test_sample_surrogate_deterministic(capsys):

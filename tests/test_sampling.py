@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import repeat
@@ -10,11 +11,12 @@ import pytest
 from scipy import stats
 
 from young import sampling
-from young.asymptotics import C
+from young.asymptotics import C, hardy_ramanujan_log
 from young.counting import RestrictedCountTable, count_partitions
-from young.partitions import partitions
+from young.partitions import _nash_williams, partitions
 from young.sampling import (
     RngStream,
+    boltzmann_expected_rate,
     exponential_sums,
     make_sampler,
     overflow_empirical,
@@ -123,40 +125,79 @@ def test_boltzmann_basics(monkeypatch):
     assert all(a >= b >= 1 for p in draws for a, b in zip(p, p[1:] + (1,)))
     assert bstats.accepted == 200
     assert 0.0 < bstats.acceptance_rate < 1.0
+    # a chunk of no rows would add no attempts, so the attempt cap below
+    # could never stop the loop
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            sample_boltzmann_batch(12, RngStream(5), 1, chunk=chunk)
     monkeypatch.setattr(sampling, "BOLTZMANN_MAX_ATTEMPTS", 0)
     with pytest.raises(RuntimeError, match="attempts"):
         sample_boltzmann_batch(12, RngStream(5), 10**9)
 
 
-def test_boltzmann_uniform_chi_square():
-    n, draws = 8, 50_000
-    accepted, _ = sample_boltzmann_batch(n, RngStream(6), draws, chunk=8192)
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_boltzmann_uniform_chi_square(n):
+    accepted, _ = sample_boltzmann_batch(n, RngStream(6), 50_000, chunk=8192)
     counts = Counter(accepted)
     assert len(counts) == count_partitions(n)
     _, p_value = stats.chisquare(list(counts.values()))
     assert p_value > 0.001
 
 
-@pytest.mark.parametrize("n", [1, 10])
-def test_boltzmann_acceptance_rate_matches_closed_form(n):
-    # P(total weight = n) = p(n) q^n prod_{j <= n} (1 - q^j), q = e^{-c/sqrt n},
-    # since the sampler draws parts up to min(jmax, n) and jmax >= n for
-    # n <= 1871; the rate of `accepted` draws has relative sd about
-    # sqrt((1 - rate) / accepted)
+def _acceptance_closed_form(n: int) -> float:
+    # p(n) q^n prod_{2 <= j <= n} (1 - q^j), q = e^{-c/sqrt n}.  The sampler
+    # drops the parts above jmax, where q^j < 2^-80, which moves no digit
     q = math.exp(-C / math.sqrt(n))
-    exact = count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(1, n + 1))
+    return count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(2, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 10, 400, 910])
+def test_boltzmann_acceptance_rate_matches_closed_form(n):
+    # the rate of `accepted` draws has relative sd about
+    # sqrt((1 - rate) / accepted)
+    exact = _acceptance_closed_form(n)
     _, bstats = sample_boltzmann_batch(n, RngStream(13, n), 200)
     sigma = exact * math.sqrt((1.0 - exact) / bstats.accepted)
     assert abs(bstats.acceptance_rate - exact) < 4.0 * sigma
+    # the reported rate is the same formula with p(n) at leading order
+    leading = math.exp(hardy_ramanujan_log(n)) / count_partitions(n)
+    assert boltzmann_expected_rate(n) == pytest.approx(exact * leading, rel=1e-9)
 
 
 def test_boltzmann_acceptance_power_law():
+    # deciding the 1s last leaves a rate of order n^{-1/4}; the closed form
+    # fits a slope of -0.255 on this grid
     ns = [100, 400, 1600, 6400]
     rates = [sample_boltzmann_batch(n, RngStream(7, i), 120)[1].acceptance_rate
              for i, n in enumerate(ns)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     slope = np.polyfit(np.log(ns), np.log(rates), 1)[0]
-    assert -0.9 < slope < -0.6
+    expected = np.polyfit(np.log(ns), np.log([_acceptance_closed_form(n) for n in ns]), 1)[0]
+    assert abs(slope - expected) < 0.15, (slope, expected)
+
+
+def test_boltzmann_chunk_memory_is_capped():
+    # at n = 2e6 a part-size row has 61144 entries and one draw needs about
+    # 150 attempts, a 74 MB matrix if the rows were not capped
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        (parts,), _ = sample_boltzmann_batch(n, RngStream(3), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(parts) == n
+    assert peak < 8 * sampling.BOLTZMANN_CHUNK_ENTRIES + 4e6, peak
+
+
+def test_boltzmann_wilf_fraction_at_910():
+    # the graphical fraction over Boltzmann draws agrees with the value that
+    # exact draws give at n=910 (criterion 04)
+    n, draws, target = 910, 2000, 0.3264
+    accepted, _ = sample_boltzmann_batch(n, RngStream(17), draws)
+    value = sum(map(_nash_williams, accepted)) / draws
+    sigma = math.sqrt(target * (1.0 - target) / draws)
+    assert abs(value - target) < 3.0 * sigma, value
 
 
 def test_slanted_transform_forced_points():
