@@ -167,10 +167,13 @@ BOLTZMANN_BLOCK = 1024
 
 
 def cmd_sample(args) -> int:
-    from . import sampling
+    from . import counting, sampling
 
     _require_at_least("n", args.n, 1)
     _require_at_least("count", args.count, 0)
+    if args.method == "exact" and args.n > counting.TABLE_N_MAX:
+        raise ValueError(f"exact draws need a count table, limited to n <= "
+                         f"{counting.TABLE_N_MAX}; use --method boltzmann")
     stream = _stream(args)
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})

@@ -326,19 +326,14 @@ class TvExact(NamedTuple):
     nonpositive_mass: float
 
 
-# Bytes of the scratch block that one batch of shifted sources is copied into
-# in _box_pmf_sweep; a block this size stays in a core's L2 cache.
-_SWEEP_BLOCK_BYTES = 1 << 18
-
-
 def _sweep_diagonals(n: int, width: int):
     """Anti-diagonals d = a + c the box sweep updates, as (d, c_lo, c_hi, columns).
 
-    Diagonal d sets slots c_lo..c_hi (part bound a = d - c in 1..width) over
-    columns 0..columns-1, where columns = n - d.
+    Diagonal d sets slots c_lo..c_hi (c <= part bound a = d - c <= width)
+    over columns 0..columns-1, where columns = n - d.
     """
     for d in range(2, min(n - 1, 2 * width) + 1):
-        yield d, max(1, d - width), min(d - 1, width), n - d
+        yield d, max(1, d - width), d // 2, n - d
 
 
 def box_sweep_work(n: int, width: int) -> tuple[int, int]:
@@ -361,44 +356,48 @@ def _box_pmf_sweep(n: int, width: int) -> np.ndarray:
 
         B_c(a, v) = B_c(a-1, v) + B_{c-1}(a, v-a),
 
-    evaluated here by anti-diagonals d = a + c of the (a, c) grid, in place:
-    slot c holds B_c(d - c, .), and moving to diagonal d + 1 adds slot c-1,
-    shifted right by d + 1 - c, into slot c, in descending c so that slot
-    c-1 still holds diagonal d.  Diagonal d is read at v = n - 1 - d and
-    every dependency reads the same or a smaller v, so diagonal d updates
-    only columns 0..n-d-1 and the sweep stops at d = n - 1.  Each slot keeps
-    width + 1 leading zeros, so a shifted read below column 0 finds zero:
-    the buffer holds (width + 1) * (n + width + 1) float64 values.  Each
-    entry is the sum of the same two floats as in a row-by-row sweep of the
-    same recurrence, so the result does not depend on the order of
-    evaluation.
+    evaluated here by anti-diagonals d = a + c over the half c <= a of the
+    (a, c) grid: conjugation gives B_c(a, v) = B_a(c, v), so each count goes
+    to both pmf[a+1, c+1] and pmf[c+1, a+1], and on an even diagonal the new
+    top slot c = d/2 starts from its mirror B_{d/2}(d/2-1) = B_{d/2-1}(d/2).
+    Diagonal d keeps slots lo..hi in rows 1..hi-lo+1 of one of two buffers
+    of width // 2 + 2 rows and reads diagonal d - 1 from the other, so inputs
+    and output never overlap; row 0 holds slot 0 while lo = 1.  Diagonal d
+    is read at v = n - 1 - d and every dependency reads the same or a
+    smaller v, so diagonal d updates only columns 0..n-d-1 and the sweep
+    stops at d = n - 1.  Each row keeps width leading zeros, so a read
+    shifted by a <= width below column 0 finds zero.  Each entry is the sum of the
+    same two floats as in a row-by-row sweep of the half grid, so the result
+    does not depend on the order of evaluation.
 
     Counts stay below p(n), well inside double range for n up to ~7e4, and
     additions of nonnegative terms keep the relative error near 1e-12.
     """
     import numpy as np
 
-    zeros = width + 1
+    zeros = width
     stride = n + zeros
-    slots = np.zeros((width + 1, stride))
-    slots[:, zeros] = 1.0  # B_c(0, v) = B_0(a, v) = [v == 0]
-    flat = slots.reshape(-1)
-    scratch = np.empty(max(_SWEEP_BLOCK_BYTES // flat.itemsize, n))
+    buffers = np.zeros((2, width // 2 + 2, stride))
+    buffers[:, 0, zeros] = 1.0  # B_0(a, v) = [v == 0]
     pmf = np.zeros((width + 2, width + 2))
     for d, lo, hi, columns in _sweep_diagonals(n, width):
-        rows = max(1, _SWEEP_BLOCK_BYTES // (flat.itemsize * columns))
-        for top in range(hi, lo - 1, -rows):
-            bottom = max(lo, top - rows + 1)
-            count = top - bottom + 1
-            # slot c reads slot c-1 shifted by a = d - c: one view whose rows
-            # step by stride + 1, one more than the slots themselves
-            start = (bottom - 1) * stride + zeros - (d - bottom)
-            shifted = flat[start:start + count * (stride + 1)].reshape(count, stride + 1)
-            block = scratch[:count * columns].reshape(count, columns)
-            np.copyto(block, shifted[:, :columns])
-            slots[bottom:top + 1, zeros:zeros + columns] += block
+        new, old = buffers[d % 2], buffers[1 - d % 2]
+        count = hi - lo + 1
+        # slot c of diagonal d - 1 sits in row c - lo + 1 + skip of old
+        skip = int(d > width + 1)
+        span = slice(zeros, zeros + columns)
+        if d % 2 == 0:
+            old[count + skip, span] = old[count + skip - 1, span]
+        # slot c reads slot c-1 shifted by a = d - c: one view whose rows
+        # step by stride + 1, one more than the rows themselves
+        start = skip * stride + zeros - (d - lo)
+        shifted = old.reshape(-1)[start:start + count * (stride + 1)].reshape(count, stride + 1)
+        np.add(old[1 + skip:count + 1 + skip, span], shifted[:, :columns],
+               out=new[1:count + 1, span])
         c = np.arange(lo, hi + 1)
-        pmf[d - c + 1, c + 1] = slots[lo:hi + 1, zeros + n - 1 - d]
+        counts = new[1:count + 1, zeros + n - 1 - d]
+        pmf[d - c + 1, c + 1] = counts
+        pmf[c + 1, d - c + 1] = counts
     if n <= width + 1:
         pmf[n, 1] = 1.0
         pmf[1, n] = 1.0

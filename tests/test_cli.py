@@ -92,6 +92,15 @@ def test_freiman_sweep_csv(capsys):
     assert all(abs(x - 1.0 / 24.0) < 1e-3 for x in ratios)
 
 
+def test_freiman_sweep_off_the_real_axis(capsys):
+    # remainder/u tends to 1/24 along any ray inside the wedge, not only the real one
+    code, out, _ = run_cli(capsys, "freiman-sweep", "--imag-ratio", "0.1", "--re-values", "0.1")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert float(row["im_u"]) == pytest.approx(0.01, rel=1e-12)
+    assert abs(float(row["remainder_over_u"]) - 1.0 / 24.0) < 1e-6
+
+
 def test_lemma1_grid(capsys):
     code, out, _ = run_cli(capsys, "lemma1-grid", "--r-count", "5", "--theta-count", "5",
                            "--format", "json")
@@ -367,19 +376,30 @@ def test_tv_exact_and_mc(capsys, tmp_path):
     assert code == 2
 
 
-# stdout of `tv --n 100` before the sweep went by anti-diagonals; it must not change
-TV_100 = ('{"k": 1, "leak_model": 1.6788340606588292e-08, "leak_true": 0.0, "mode": "exact", '
+# stdout of `tv --n 100` before the sweep went by anti-diagonals, and of
+# `tv --n 700` before it swept half the grid; neither may change
+TV_STDOUT = {
+    100: ('{"k": 1, "leak_model": 1.6788340606588292e-08, "leak_true": 0.0, "mode": "exact", '
           '"n": 100, "nonpositive_mass": 0.00082178944736222, "op": "tv", '
-          '"tv": 0.2702812496226122, "window_hi": 161}\n')
+          '"tv": 0.2702812496226122, "window_hi": 161}\n'),
+    700: ('{"k": 1, "leak_model": 1.853824327380238e-08, "leak_true": 1.489214307426323e-10, '
+          '"mode": "exact", "n": 700, "nonpositive_mass": 2.1980588460479566e-09, "op": "tv", '
+          '"tv": 0.13903484999887317, "window_hi": 444}\n'),
+}
+TV_LOG = {
+    100: "tv n=100 W=160 diagonals=98 updates=",
+    700: "tv n=700 W=443 diagonals=698 updates=25725865 ",
+}
 
 
 def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
-    code, out, err = run_cli(capsys, "tv", "--n", "100")
-    assert code == 0
-    assert out == TV_100
-    (line,) = err.splitlines()
-    assert line.startswith("tv n=100 W=160 diagonals=98 updates=")
-    assert " ready in " in line
+    for n, stdout in TV_STDOUT.items():
+        code, out, err = run_cli(capsys, "tv", "--n", str(n))
+        assert code == 0
+        assert out == stdout
+        (line,) = err.splitlines()
+        assert line.startswith(TV_LOG[n])
+        assert " ready in " in line
 
 
 @pytest.mark.parametrize("argv, word", [
@@ -420,6 +440,7 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("tv", "--n", str(10**400)), "too large"),
     (("tv", "--mc", "--n", "10", "--k", "11"), "k must be at most"),
     (("pk", "--n", "10", "--k", "11"), "k must be at most"),
+    (("freiman-sweep", "--imag-ratio", "0.2"), "u outside the wedge"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
@@ -430,7 +451,7 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
         "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
         "asymptotic-n-huge", "asymptotic-restricted-n-huge", "tv-n-huge", "tv-mc-k-above-n",
-        "pk-k-above-n"])
+        "pk-k-above-n", "freiman-sweep-outside-wedge"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -473,6 +494,31 @@ def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv)
     assert code == 2
     assert out == ""
     assert "table n_max=" not in err
+    assert not list(tmp_path.glob("*.ypt"))
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("sample", "--n", "10001"), "--method boltzmann"),
+    (("wilf", "--n", "10002", "--samples", "10"), "10000"),
+    (("macdonald", "--n", "10001", "--samples", "10"), "10000"),
+    (("tv", "--mc", "--n", "10001", "--samples", "10"), "10000"),
+], ids=["sample", "wilf", "macdonald", "tv-mc"])
+def test_count_tables_past_the_limit_are_refused(capsys, tmp_path, argv, word):
+    # a table past n = 1e4 would hold gigabytes: refuse it before it is built
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "n <= 10000" in line and word in line
+    assert not list(tmp_path.glob("*.ypt"))
+
+
+def test_boltzmann_draws_pass_the_count_table_limit(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sample", "--n", "10001", "--method", "boltzmann",
+                           "--seed", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    header, parts = check_json_lines(out)
+    assert header["n"] == 10001 and sum(parts) == 10001
     assert not list(tmp_path.glob("*.ypt"))
 
 

@@ -202,8 +202,8 @@ def test_box_sweep_matches_enumeration(n):
         assert np.array_equal(_box_pmf_sweep(n, width), want), (n, width)
 
 
-def _box_pmf_sweep_rows(n, width):
-    # reference: the row-by-row sweep over full rows that _box_pmf_sweep replaced
+def _box_pmf_sweep_full_rows(n, width):
+    # reference: the row-by-row sweep over full rows of every (a, c) in the box
     length = n + 1
     b = np.zeros((width + 1, length))
     b[:, 0] = 1.0
@@ -224,6 +224,30 @@ def _box_pmf_sweep_rows(n, width):
     return pmf
 
 
+def _box_pmf_sweep_rows(n, width):
+    # reference: the row-by-row sweep over the half grid c <= a.  Row c runs
+    # a = c..width and starts from the mirror B_c(c-1) = B_{c-1}(c), which b[c]
+    # still holds from row c-1; each count goes to both pmf[a+1, c+1] and
+    # pmf[c+1, a+1]
+    length = n + 1
+    b = np.zeros((width + 1, length))
+    b[:, 0] = 1.0
+    pmf = np.zeros((width + 2, width + 2))
+    for c in range(1, width + 1):
+        prev = b[c]
+        for a in range(c, width + 1):
+            row = prev.copy()
+            if a < length:
+                row[a:] += b[a, :length - a]
+            b[a] = prev = row
+            if n - 1 - a - c >= 0:
+                pmf[a + 1, c + 1] = pmf[c + 1, a + 1] = row[n - 1 - a - c]
+    if n <= width + 1:
+        pmf[n, 1] = 1.0
+        pmf[1, n] = 1.0
+    return pmf
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 25, 40, 100, 700])
 def test_box_sweep_matches_row_sweep_bit_for_bit(n):
     production = tv_distance_k1(n).window_hi - 1
@@ -231,15 +255,22 @@ def test_box_sweep_matches_row_sweep_bit_for_bit(n):
     if n == 700:
         widths.discard(n + 5)  # 705^2 row updates; widths past n are covered at smaller n
     for width in sorted(widths):
-        assert np.array_equal(_box_pmf_sweep(n, width), _box_pmf_sweep_rows(n, width)), (
-            n, width)
+        pmf = _box_pmf_sweep(n, width)
+        assert np.array_equal(pmf, _box_pmf_sweep_rows(n, width)), (n, width)
+        # conjugation swaps largest part and part count, and so does the pmf
+        assert np.array_equal(pmf, pmf.T), (n, width)
+    if n == 700:
+        # the full grid sums the two halves in different orders: at n = 700
+        # its counts pass 2^53 and it differs from the half grid in the last bits
+        np.testing.assert_allclose(_box_pmf_sweep(n, production),
+                                   _box_pmf_sweep_full_rows(n, production), rtol=1e-13, atol=0)
 
 
 def test_box_sweep_work_counts_diagonals_and_updates():
-    # n=10, width=3: diagonals 2..6 set 1, 2, 3, 2, 1 slots over 8, 7, 6, 5, 4 columns
-    assert box_sweep_work(10, 3) == (5, 8 + 14 + 18 + 10 + 4)
+    # n=10, width=3: diagonals 2..6 set 1, 1, 2, 1, 1 slots over 8, 7, 6, 5, 4 columns
+    assert box_sweep_work(10, 3) == (5, 8 + 7 + 12 + 5 + 4)
     assert box_sweep_work(1, 5) == (0, 0)
-    assert box_sweep_work(700, 443) == (698, 51_329_580)
+    assert box_sweep_work(700, 443) == (698, 25_725_865)
 
 
 def test_box_sweep_marginal_matches_table():
