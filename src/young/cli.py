@@ -6,6 +6,10 @@ flags and seed the emitted body is byte-identical run to run.  Exit codes:
 0 success, 2 validation error (an input out of range, float range included),
 3 cache or I/O error.
 
+sample, wilf, macdonald and tv --mc build a count table for their n.  It is
+cached on disk only when the environment variable YOUNG_CACHE_DIR names a
+directory, and no flag sets one; otherwise nothing is read or written.
+
 Output formats, the default first; `--format` exists only where there are two:
 
 - count, count-restricted, bound: text, json
@@ -54,11 +58,11 @@ def _stream(args):
     return sampling.RngStream(seed=args.seed, stream_id=args.stream)
 
 
-def _load_table(n: int, args):
+def _load_table(n: int):
     from . import counting
 
     t0 = time.perf_counter()
-    table = counting.load_or_build(n, cache_dir=args.cache_dir)
+    table = counting.load_or_build(n)
     _log(f"table n_max={n} ready in {time.perf_counter() - t0:.2f}s")
     return table
 
@@ -178,11 +182,11 @@ def cmd_sample(args) -> int:
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
     if args.method == "exact":
-        table = _load_table(args.n, args)
-        draw = sampling.make_sampler(args.n, stream, table)
-        # exact draws stream out one at a time
-        for _ in range(args.count):
-            sys.stdout.write(json.dumps(draw()) + "\n")
+        # --count 0 builds no table; exact draws stream out one at a time
+        if args.count:
+            draw = sampling.make_sampler(args.n, stream, _load_table(args.n))
+            for _ in range(args.count):
+                sys.stdout.write(json.dumps(draw()) + "\n")
         return 0
     # Boltzmann draws go out in blocks from one generator, so memory does not
     # grow with --count
@@ -235,7 +239,7 @@ def cmd_wilf(args) -> int:
     else:
         experiments._require_even(args.n)
         experiments._require_mc_args(args.n, args.samples)
-        table = _load_table(args.n, args)
+        table = _load_table(args.n)
         est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo", "estimate": est.to_dict()})
     _emit_json(payload)
@@ -253,7 +257,7 @@ def cmd_macdonald(args) -> int:
         payload["mode"] = "exact"
     else:
         experiments._require_mc_args(args.n, args.samples)
-        table = _load_table(args.n, args)
+        table = _load_table(args.n)
         result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
         payload.update({"mode": "monte-carlo", "self_dual": result.self_dual.to_dict()})
     # "estimate" stays the one-sided P(lam dominates mu) for existing JSON readers
@@ -299,7 +303,7 @@ def cmd_tv(args) -> int:
     _require_at_least("n", args.n, 2)
     if args.mc:
         experiments._require_mc_args(args.n, args.samples, args.k)
-        table = _load_table(args.n, args)
+        table = _load_table(args.n)
         result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args), table)
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,
                     "estimate": result.estimate.to_dict(), "cells": result.cells,
@@ -321,15 +325,12 @@ def cmd_tv(args) -> int:
     return 0
 
 
-def _add_common(sub, *, seed=False, samples=None, cache=False, formats=()):
+def _add_common(sub, *, seed=False, samples=None, formats=()):
     if seed:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--stream", type=int, default=0)
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples)
-    if cache:
-        sub.add_argument("--cache-dir", default=None,
-                         help="count-table cache directory (default: $YOUNG_CACHE_DIR)")
     if formats:
         sub.add_argument("--format", choices=formats, default=formats[0])
 
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--count", type=int, default=1)
     sub.add_argument("--method", choices=["exact", "boltzmann"], default="exact")
-    _add_common(sub, seed=True, cache=True)
+    _add_common(sub, seed=True)
     sub.set_defaults(func=cmd_sample)
 
     sub = subs.add_parser("sample-surrogate", help="exponential-sums surrogate draws")
@@ -399,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--exact", action="store_true")
     sub.add_argument("--threads", type=int, help="ignored: the exact sweep runs in one process")
-    _add_common(sub, seed=True, samples=1_000_000, cache=True)
+    _add_common(sub, seed=True, samples=1_000_000)
     sub.set_defaults(func=cmd_wilf)
 
     sub = subs.add_parser("macdonald", help="dominance comparability probability")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--exact", action="store_true")
-    _add_common(sub, seed=True, samples=100_000, cache=True)
+    _add_common(sub, seed=True, samples=100_000)
     sub.set_defaults(func=cmd_macdonald)
 
     sub = subs.add_parser("pk", help="surrogate product event probability")
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument("--mc", action="store_true")
-    _add_common(sub, seed=True, samples=1_000_000, cache=True)
+    _add_common(sub, seed=True, samples=1_000_000)
     sub.set_defaults(func=cmd_tv)
 
     return parser

@@ -2,11 +2,11 @@
 
 Counts are plain Python integers; nothing in this module rounds.  Three
 families are covered: p(n) via the pentagonal-number recurrence, counts of
-partitions with bounded largest part (`RestrictedCountTable`, with an on-disk
-cache), and the doubly-restricted counts with bounded largest part and bounded
-number of parts (`count_restricted`, a Gaussian binomial taken by the
-q-binomial split: s divide passes plus J+1 dot products), with the literal
-product formula as an independent oracle.
+partitions with bounded largest part (`RestrictedCountTable`, cached on disk
+only under $YOUNG_CACHE_DIR), and the doubly-restricted counts with bounded
+largest part and bounded number of parts (`count_restricted`, a Gaussian
+binomial taken by the q-binomial split: s divide passes plus J+1 dot
+products), with the literal product formula as an independent oracle.
 
 The table stores half cumulative rows plus prefix sums of p, and that layout
 is known only here: other modules read it through `entry`, `row` and
@@ -248,9 +248,6 @@ class RestrictedCountTable:
     version, another layout or a damaged one.
     """
 
-    MODE_LARGEST = "by-largest-part"
-    mode = MODE_LARGEST
-
     _MAGIC = b"YPTB"
     _VERSION = 3
     _HEADER = struct.Struct("<4sHBBQ")
@@ -400,25 +397,21 @@ class RestrictedCountTable:
         return table
 
 
-def default_cache_dir() -> str:
-    env = os.environ.get("YOUNG_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "young")
+def load_or_build(n_max: int) -> RestrictedCountTable:
+    """Return the table for n_max, built, or read from the cache when one is set.
 
-
-def load_or_build(n_max: int, cache_dir: str | None = None) -> RestrictedCountTable:
-    """Return a table from the on-disk cache, building and caching on miss.
-
+    The cache is opt-in: only when YOUNG_CACHE_DIR names a directory is a
+    table read from it or written to it; otherwise it is built every time.
     A cache file that is stale (an older format version), damaged, or for
     another table counts as a miss: the table is rebuilt and the file is
     overwritten.  n_max beyond TABLE_N_MAX raises ValueError before any
     file is read or written.
     """
     _require_table_fits(n_max)
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
-    path = os.path.join(directory, f"counts-{RestrictedCountTable.MODE_LARGEST}-{n_max}.ypt")
+    directory = os.environ.get("YOUNG_CACHE_DIR")
+    if not directory:
+        return RestrictedCountTable.build(n_max)
+    path = os.path.join(directory, f"counts-by-largest-part-{n_max}.ypt")
     if os.path.exists(path):
         try:
             table = RestrictedCountTable.load(path)

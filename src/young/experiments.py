@@ -23,7 +23,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .asymptotics import C, hardy_ramanujan_log
-from .counting import RestrictedCountTable, count_partitions
+from .counting import RestrictedCountTable, count_partitions, count_restricted
 from .partitions import _conjugate, _dominates, _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
 
@@ -415,9 +415,9 @@ def tv_distance_k1(n: int) -> TvExact:
     Both laws are evaluated cell by cell on a finite window; the model law
     has closed-form cell probabilities, and the exact law comes from the box
     count sweep normalized by p(n).  Mass outside the window is accounted
-    through closed-form tails (model side) and the sweep residual (exact
-    side); an error is raised when more than TV_LEAK_BUDGET is unaccounted in
-    either law.
+    through closed-form tails (model side) and the exact count of the
+    partitions outside the window box (exact side); an error is raised when
+    more than TV_LEAK_BUDGET is unaccounted in either law.
     """
     import numpy as np
 
@@ -428,11 +428,11 @@ def tv_distance_k1(n: int) -> TvExact:
     scale = math.sqrt(n) / C
     tail_target = TV_LEAK_BUDGET / 100.0
     width = int(math.ceil(scale * math.log(scale / tail_target)))
-    p_n = float(count_partitions(n))
+    p_n = count_partitions(n)
 
-    pmf_true = _box_pmf_sweep(n, width) / p_n
-    mass_true = float(pmf_true.sum())
-    leak_true = max(0.0, 1.0 - mass_true)
+    pmf_true = _box_pmf_sweep(n, width) / float(p_n)
+    # a ratio of big integers, rounded once
+    leak_true = (p_n - count_restricted(n, width + 1, width + 1)) / p_n
 
     # model marginal: P(height = t) = e^{-g(t)} - e^{-g(t-1)}, g(t) = scale e^{-t/scale}
     ts = np.arange(0, width + 2)

@@ -26,9 +26,10 @@ sample sequence replays byte-identically and distinct streams can run in
 parallel without coordination.  A stream feeds two generators: exact draws
 take their ranks from a Mersenne Twister `random.Random`, which needs nothing
 beyond the standard library, and the array samplers (Boltzmann, surrogate,
-overflow) draw from a numpy PCG64 `Generator`.  numpy is imported only by the
-functions that build arrays, and the command line imports this module only in
-the subcommands that draw.
+overflow) take a numpy PCG64 `Generator` from `RngStream.generator()` as
+their argument; calls handed one generator draw its stream in turn.  numpy
+is imported only by the functions that build arrays, and the command line
+imports this module only in the subcommands that draw.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ class RngStream(NamedTuple):
 
     def split(self, stream_id: int) -> "RngStream":
         return RngStream(self.seed, stream_id)
-
-
-def _as_generator(rng) -> np.random.Generator:
-    import numpy as np
-
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
 
 
 def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Random) -> tuple[int, ...]:
@@ -151,11 +142,13 @@ def boltzmann_expected_rate(n: int) -> float:
 # a batch that has made this many attempts without completing raises
 BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
 
-# one chunk's multiplicity matrix holds at most this many int64 entries (32 MiB)
+# one chunk's multiplicity matrix holds at most this many rows (attempts) and
+# this many int64 entries (32 MiB)
+BOLTZMANN_CHUNK_ROWS = 2048
 BOLTZMANN_CHUNK_ENTRIES = 2**22
 
 
-def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048):
+def sample_boltzmann_batch(n: int, gen: np.random.Generator, count: int):
     """Draw `count` uniform partitions of n; returns (list of part tuples, stats).
 
     Probabilistic divide-and-conquer with the 1s decided last (Arratia and
@@ -169,17 +162,15 @@ def sample_boltzmann_batch(n: int, rng, count: int, chunk: int = 2048):
     p(n) q^n prod_{2<=j<=jmax} (1 - q^j), about n^{-1/4}.
 
     Each chunk of attempts is sized from that rate to the draws still
-    missing, capped by `chunk` rows and by BOLTZMANN_CHUNK_ENTRIES entries.
+    missing, capped by BOLTZMANN_CHUNK_ROWS rows and by
+    BOLTZMANN_CHUNK_ENTRIES entries.
     """
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be positive")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    gen = _as_generator(rng)
     q, weights, probs, rate = _boltzmann_setup(n)
-    max_rows = max(1, min(chunk, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights))))
+    max_rows = max(1, min(BOLTZMANN_CHUNK_ROWS, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights))))
     out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < count:
@@ -234,21 +225,21 @@ def slanted_heights(n: int, sums) -> np.ndarray:
     return np.ceil(x - 1e-9).astype(np.int64)
 
 
-def exponential_sums(rng, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def exponential_sums(gen: np.random.Generator, count: int,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, k) partial-sum matrices for the two independent sequences."""
     import numpy as np
 
-    gen = _as_generator(rng)
     e = -np.log1p(-gen.random((count, k)))
     e_dual = -np.log1p(-gen.random((count, k)))
     return np.cumsum(e, axis=1), np.cumsum(e_dual, axis=1)
 
 
-def sample_surrogate(n: int, k: int, rng) -> SurrogateDraw:
+def sample_surrogate(n: int, k: int, gen: np.random.Generator) -> SurrogateDraw:
     """One surrogate draw: 2k exponentials via inverse CDF, then the slant."""
     if k < 1 or n < 1:
         raise ValueError("n and k must be positive")
-    s, s_dual, heights, widths = surrogate_batch(n, k, rng, 1)
+    s, s_dual, heights, widths = surrogate_batch(n, k, gen, 1)
     return SurrogateDraw(
         n=n, k=k,
         sums=tuple(s[0].tolist()),
@@ -258,9 +249,9 @@ def sample_surrogate(n: int, k: int, rng) -> SurrogateDraw:
     )
 
 
-def surrogate_batch(n: int, k: int, rng, count: int):
+def surrogate_batch(n: int, k: int, gen: np.random.Generator, count: int):
     """Vectorized surrogate draws: (sums, dual_sums, heights, widths) arrays."""
-    s, s_dual = exponential_sums(rng, count, k)
+    s, s_dual = exponential_sums(gen, count, k)
     return s, s_dual, slanted_heights(n, s), slanted_heights(n, s_dual)
 
 
@@ -310,7 +301,8 @@ def surrogate_overflow_bounds(n: int, k: int) -> OverflowBounds:
     )
 
 
-def overflow_empirical(n: int, k: int, samples: int, rng) -> tuple[float, float]:
+def overflow_empirical(n: int, k: int, samples: int,
+                       gen: np.random.Generator) -> tuple[float, float]:
     """Empirical frequencies for the two overflow events.
 
     S_k is drawn as Gamma(k) and S_1 as a unit exponential; both equal the
@@ -319,7 +311,6 @@ def overflow_empirical(n: int, k: int, samples: int, rng) -> tuple[float, float]
     import numpy as np
 
     bounds = surrogate_overflow_bounds(n, k)
-    gen = _as_generator(rng)
     top = gen.gamma(k, size=samples)
     bottom = gen.exponential(size=samples)
     freq_top = float(np.mean(top >= bounds.top_threshold))

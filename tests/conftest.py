@@ -1,4 +1,5 @@
-"""Shared test data: count-table cache files that `RestrictedCountTable.load` must reject."""
+"""Shared test set-up: an environment with no count-table cache, and cache
+files that `RestrictedCountTable.load` must reject."""
 
 import marshal
 import struct
@@ -6,6 +7,17 @@ import struct
 import pytest
 
 from young.counting import RestrictedCountTable
+
+
+@pytest.fixture(autouse=True)
+def no_cache_dir(monkeypatch, tmp_path_factory):
+    """Run each test without YOUNG_CACHE_DIR, with HOME and XDG_CACHE_HOME in a
+    fresh directory, so that no test reads or writes a real cache."""
+    home = tmp_path_factory.mktemp("home")
+    monkeypatch.delenv("YOUNG_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / ".cache"))
+    return home
 
 
 def _cache_file(n_max: int, payload: bytes, version: int = RestrictedCountTable._VERSION,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from young import sampling
 from young.asymptotics import (
     BAND_CONSTANT,
     C,
@@ -226,7 +227,7 @@ def test_criterion_08_tv_ceiling_at_1e4(tv_values):
           f"< tv(2500)/sqrt(2) = {ceiling:.5f})")
 
 
-def test_criterion_09_sampler_uniformity(table910):
+def test_criterion_09_sampler_uniformity(table910, monkeypatch):
     n, draws = 8, 200_000
     cells = count_partitions(n)
 
@@ -236,7 +237,8 @@ def test_criterion_09_sampler_uniformity(table910):
     _, p_exact = stats.chisquare(list(exact_counts.values()))
     assert p_exact > 0.001, p_exact
 
-    accepted, _ = sample_boltzmann_batch(n, RngStream(SEED, 2), draws, chunk=8192)
+    monkeypatch.setattr(sampling, "BOLTZMANN_CHUNK_ROWS", 8192)
+    accepted, _ = sample_boltzmann_batch(n, RngStream(SEED, 2).generator(), draws)
     boltzmann_counts = Counter(accepted)
     assert len(boltzmann_counts) == cells
     _, p_boltz = stats.chisquare(list(boltzmann_counts.values()))
@@ -245,7 +247,7 @@ def test_criterion_09_sampler_uniformity(table910):
     n2, draws2 = 10, 100_000
     draw2 = make_sampler(n2, RngStream(SEED, 3), table910)
     sample_a = Counter(draw2() for _ in range(draws2))
-    accepted2, _ = sample_boltzmann_batch(n2, RngStream(SEED, 4), draws2, chunk=8192)
+    accepted2, _ = sample_boltzmann_batch(n2, RngStream(SEED, 4).generator(), draws2)
     sample_b = Counter(accepted2)
     keys = sorted(sample_a.keys() | sample_b.keys())
     contingency = np.array([[sample_a[k] for k in keys], [sample_b[k] for k in keys]])
@@ -292,7 +294,8 @@ def test_criterion_10_surrogate_closed_forms():
         assert check.dominated, check
 
     bounds = surrogate_overflow_bounds(10**4, 10)
-    freq_top, freq_bottom = overflow_empirical(10**4, 10, million, RngStream(SEED, 11))
+    freq_top, freq_bottom = overflow_empirical(10**4, 10, million,
+                                               RngStream(SEED, 11).generator())
     assert freq_top <= bounds.top_bound + 1e-12, (freq_top, bounds.top_bound)
     assert freq_bottom <= bounds.bottom_bound, (freq_bottom, bounds.bottom_bound)
     print(f"ACCEPTANCE 10 surrogate closed forms: PASS "

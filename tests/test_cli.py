@@ -187,9 +187,9 @@ def test_bound(capsys):
     assert code == 2
 
 
-def test_sample_deterministic(capsys, tmp_path):
-    args = ["sample", "--n", "30", "--count", "5", "--seed", "9", "--stream", "1",
-            "--cache-dir", str(tmp_path)]
+def test_sample_deterministic(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    args = ["sample", "--n", "30", "--count", "5", "--seed", "9", "--stream", "1"]
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     code, out2, _ = run_cli(capsys, *args)
@@ -208,9 +208,10 @@ def test_sample_deterministic(capsys, tmp_path):
 SAMPLE_220_SHA256 = "2fa3d5a03170d306ba8429b6f552ffc2e5a4c6423367d649b0d9be4f214cd924"
 
 
-def test_sample_seeded_draws_are_pinned(capsys, tmp_path):
+def test_sample_seeded_draws_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "sample", "--n", "220", "--count", "20", "--seed", "7",
-                           "--stream", "3", "--cache-dir", str(tmp_path))
+                           "--stream", "3")
     assert code == 0
     assert len(out.splitlines()) == 21
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_220_SHA256
@@ -221,18 +222,19 @@ def test_sample_seeded_draws_are_pinned(capsys, tmp_path):
 SAMPLE_BOLTZMANN_400_SHA256 = "cfbd22e25915973c4608f7774ae509e8664c88a6c1b6d5d0a3db1449a68ea1dc"
 
 
-def test_sample_boltzmann_draws_are_pinned(capsys, tmp_path):
+def test_sample_boltzmann_draws_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "sample", "--method", "boltzmann", "--n", "400", "--count",
-                           "20", "--seed", "5", "--stream", "3", "--cache-dir", str(tmp_path))
+                           "20", "--seed", "5", "--stream", "3")
     assert code == 0
     assert len(out.splitlines()) == 21
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_BOLTZMANN_400_SHA256
 
 
-def test_sample_boltzmann(capsys, tmp_path):
+def test_sample_boltzmann(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, "sample", "--n", "12", "--count", "3",
-                             "--method", "boltzmann", "--seed", "4",
-                             "--cache-dir", str(tmp_path))
+                             "--method", "boltzmann", "--seed", "4")
     assert code == 0
     draws = [json.loads(line) for line in out.strip().splitlines()[1:]]
     assert len(draws) == 3 and all(sum(d) == 12 for d in draws)
@@ -282,36 +284,38 @@ def test_sample_surrogate_deterministic(capsys):
         assert record["sums"] == sorted(record["sums"])
 
 
-def test_wilf_exact_and_mc(capsys, tmp_path):
+def test_wilf_exact_and_mc(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "wilf", "--n", "4", "--exact", "--threads", "1")
     (payload,) = check_json_lines(out)
     assert payload["estimate"]["value"] == pytest.approx(0.4)
     assert payload["graphical"] == "2"
-    code, out, _ = run_cli(capsys, "wilf", "--n", "10", "--samples", "2000", "--seed", "3",
-                           "--cache-dir", str(tmp_path))
+    code, out, _ = run_cli(capsys, "wilf", "--n", "10", "--samples", "2000", "--seed", "3")
     (payload,) = check_json_lines(out)
     assert payload["mode"] == "monte-carlo"
     assert payload["estimate"]["samples"] == 2000
 
 
-def test_macdonald(capsys, tmp_path):
+def test_macdonald(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "macdonald", "--n", "2", "--exact")
     (payload,) = check_json_lines(out)
     assert payload["estimate"]["value"] == pytest.approx(0.75)
     code, out, _ = run_cli(capsys, "macdonald", "--n", "12", "--samples", "2000",
-                           "--seed", "5", "--cache-dir", str(tmp_path))
+                           "--seed", "5")
     (payload,) = check_json_lines(out)
     assert "self_dual" in payload
 
 
-def test_macdonald_reports_both_directions(capsys, tmp_path):
+def test_macdonald_reports_both_directions(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "macdonald", "--n", "10", "--exact")
     (payload,) = check_json_lines(out)
     assert payload["estimate"]["value"] == pytest.approx(818 / 1764)
     assert payload["comparable"]["value"] == 797 / 882
     # estimate and self_dual as recorded before the two-sided value was added
     code, out, _ = run_cli(capsys, "macdonald", "--n", "40", "--samples", "1000", "--seed", "12",
-                           "--stream", "3", "--cache-dir", str(tmp_path))
+                           "--stream", "3")
     (payload,) = check_json_lines(out)
     provenance = {"method": "monte-carlo", "samples": 1000, "seed": 12, "stream_id": 3}
     assert payload["estimate"] == {**provenance, "value": 0.355,
@@ -364,12 +368,13 @@ def test_chernoff(capsys):
     assert code == 2
 
 
-def test_tv_exact_and_mc(capsys, tmp_path):
+def test_tv_exact_and_mc(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "tv", "--n", "64")
     (payload,) = check_json_lines(out)
     assert 0.0 < payload["tv"] < 1.0
     code, out, _ = run_cli(capsys, "tv", "--n", "40", "--k", "2", "--mc",
-                           "--samples", "5000", "--seed", "9", "--cache-dir", str(tmp_path))
+                           "--samples", "5000", "--seed", "9")
     (payload,) = check_json_lines(out)
     assert payload["mode"] == "monte-carlo"
     code, _, _ = run_cli(capsys, "tv", "--n", "40", "--k", "2")
@@ -377,12 +382,12 @@ def test_tv_exact_and_mc(capsys, tmp_path):
 
 
 # stdout of `tv --n 100` before the sweep went by anti-diagonals, and of
-# `tv --n 700` before it swept half the grid; neither may change
+# `tv --n 700` since leak_true is the exact count outside the window box
 TV_STDOUT = {
     100: ('{"k": 1, "leak_model": 1.6788340606588292e-08, "leak_true": 0.0, "mode": "exact", '
           '"n": 100, "nonpositive_mass": 0.00082178944736222, "op": "tv", '
           '"tv": 0.2702812496226122, "window_hi": 161}\n'),
-    700: ('{"k": 1, "leak_model": 1.853824327380238e-08, "leak_true": 1.489214307426323e-10, '
+    700: ('{"k": 1, "leak_model": 1.853824327380238e-08, "leak_true": 1.4892145314752623e-10, '
           '"mode": "exact", "n": 700, "nonpositive_mass": 2.1980588460479566e-09, "op": "tv", '
           '"tv": 0.13903484999887317, "window_hi": 444}\n'),
 }
@@ -460,20 +465,63 @@ def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch
     assert err.splitlines()[-1].startswith("error: ") and word in err
 
 
-def test_cache_dir_is_populated(capsys, tmp_path):
-    run_cli(capsys, "sample", "--n", "25", "--count", "1", "--cache-dir", str(tmp_path))
+def test_cache_dir_is_populated(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, "sample", "--n", "25", "--count", "1")
     assert (tmp_path / "counts-by-largest-part-25.ypt").exists()
 
 
-def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
-    args = ("sample", "--n", "25", "--count", "3", "--seed", "7", "--cache-dir")
-    code, expected, _ = run_cli(capsys, *args, str(tmp_path / "fresh"))
+# each call builds the count table for n = 20
+TABLE_CALLS = [
+    ("sample", "--n", "20", "--count", "2"),
+    ("wilf", "--n", "20", "--samples", "50"),
+    ("macdonald", "--n", "20", "--samples", "50"),
+    ("tv", "--mc", "--n", "20", "--k", "2", "--samples", "50"),
+]
+
+
+def test_count_tables_are_cached_only_under_young_cache_dir(capsys, tmp_path, monkeypatch,
+                                                            no_cache_dir):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in TABLE_CALLS:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    # without YOUNG_CACHE_DIR no file is written: not under HOME, not under
+    # XDG_CACHE_HOME (inside HOME here), not in the working directory
+    assert not list(no_cache_dir.rglob("*")) and not list(work.rglob("*"))
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path / "cache"))
+    for argv in TABLE_CALLS:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["counts-by-largest-part-20.ypt"]
+    assert not list(no_cache_dir.rglob("*")) and not list(work.rglob("*"))
+
+
+def test_sample_count_0_builds_no_table(capsys, monkeypatch):
+    def build(cls, n_max):
+        raise AssertionError(f"table built for n_max={n_max}")
+
+    monkeypatch.setattr(RestrictedCountTable, "build", classmethod(build))
+    code, out, err = run_cli(capsys, "sample", "--n", "50", "--count", "0")
+    assert code == 0, err
+    (header,) = check_json_lines(out)
+    assert header["count"] == 0
+    assert "table n_max=" not in err
+
+
+def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damaged_cache):
+    args = ("sample", "--n", "25", "--count", "3", "--seed", "7")
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path / "fresh"))
+    code, expected, _ = run_cli(capsys, *args)
     assert code == 0
     damaged = tmp_path / "damaged"
     damaged.mkdir()
     path = damaged / "counts-by-largest-part-25.ypt"
     path.write_bytes(damaged_cache(25))
-    code, out, _ = run_cli(capsys, *args, str(damaged))
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(damaged))
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert out == expected
     assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 3
@@ -489,8 +537,9 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, damaged_cache):
     ("wilf", "--n", "0", "--samples", "10"),
     ("macdonald", "--n", "0", "--samples", "10"),
 ], ids=["wilf", "macdonald", "tv-mc", "tv-mc-k-0", "wilf-odd-n", "wilf-n-0", "macdonald-n-0"])
-def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv):
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "table n_max=" not in err
@@ -503,9 +552,10 @@ def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, argv)
     (("macdonald", "--n", "10001", "--samples", "10"), "10000"),
     (("tv", "--mc", "--n", "10001", "--samples", "10"), "10000"),
 ], ids=["sample", "wilf", "macdonald", "tv-mc"])
-def test_count_tables_past_the_limit_are_refused(capsys, tmp_path, argv, word):
+def test_count_tables_past_the_limit_are_refused(capsys, tmp_path, monkeypatch, argv, word):
     # a table past n = 1e4 would hold gigabytes: refuse it before it is built
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     (line,) = err.splitlines()
@@ -513,9 +563,10 @@ def test_count_tables_past_the_limit_are_refused(capsys, tmp_path, argv, word):
     assert not list(tmp_path.glob("*.ypt"))
 
 
-def test_boltzmann_draws_pass_the_count_table_limit(capsys, tmp_path):
+def test_boltzmann_draws_pass_the_count_table_limit(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "sample", "--n", "10001", "--method", "boltzmann",
-                           "--seed", "3", "--cache-dir", str(tmp_path))
+                           "--seed", "3")
     assert code == 0
     header, parts = check_json_lines(out)
     assert header["n"] == 10001 and sum(parts) == 10001

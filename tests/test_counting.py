@@ -245,13 +245,11 @@ def test_largest_part_table_entries():
         table.entry(31, 3)
 
 
-@pytest.mark.parametrize("mode", [RestrictedCountTable.MODE_LARGEST])
-def test_table_cache_roundtrip(tmp_path, mode):
+def test_table_cache_roundtrip(tmp_path):
     table = RestrictedCountTable.build(15)
     path = tmp_path / "t.ypt"
     table.save(path)
     loaded = RestrictedCountTable.load(path)
-    assert loaded.mode == mode
     assert loaded.n_max == 15
     assert loaded.entry(15, 4) == table.entry(15, 4)
     assert loaded.row(10) == table.row(10)
@@ -264,20 +262,21 @@ def test_table_cache_rejects_garbage(tmp_path):
         RestrictedCountTable.load(path)
 
 
-def test_load_or_build_uses_cache(tmp_path):
-    first = load_or_build(12, cache_dir=str(tmp_path))
+def test_load_or_build_uses_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    first = load_or_build(12)
     assert (tmp_path / "counts-by-largest-part-12.ypt").exists()
-    second = load_or_build(12, cache_dir=str(tmp_path))
+    second = load_or_build(12)
     assert second.row(12) == first.row(12)
 
 
-@pytest.mark.parametrize("n_max, mode", [(910, RestrictedCountTable.MODE_LARGEST)])
-def test_table_cache_roundtrip_is_exact(tmp_path, n_max, mode):
+def test_table_cache_roundtrip_is_exact(tmp_path):
+    n_max = 910
     table = RestrictedCountTable.build(n_max)
     path = tmp_path / "t.ypt"
     table.save(path)
     loaded = RestrictedCountTable.load(path)
-    assert (loaded.mode, loaded.n_max) == (mode, n_max)
+    assert loaded.n_max == n_max
     assert [loaded.row(v) for v in range(n_max + 1)] == [table.row(v) for v in range(n_max + 1)]
 
 
@@ -288,10 +287,11 @@ def test_table_load_rejects_damaged_file(tmp_path, damaged_cache):
         RestrictedCountTable.load(path)
 
 
-def test_load_or_build_rebuilds_damaged_file(tmp_path, damaged_cache):
+def test_load_or_build_rebuilds_damaged_file(tmp_path, monkeypatch, damaged_cache):
     path = tmp_path / "counts-by-largest-part-25.ypt"
     path.write_bytes(damaged_cache(25))
-    table = load_or_build(25, cache_dir=str(tmp_path))
+    monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
+    table = load_or_build(25)
     expected = [RestrictedCountTable.build(25).row(v) for v in range(26)]
     assert [table.row(v) for v in range(26)] == expected
     version = RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,9 +287,10 @@ def test_box_sweep_marginal_matches_table():
     gap = exact.copy()
     gap[:hi] -= sweep
     assert np.abs(gap).sum() <= result.leak_true + 1e-12
-    # and the mass it keeps is the exact count of partitions inside the window box
-    box_leak = 1.0 - count_restricted(n, hi, hi) / p_n
-    assert result.leak_true == pytest.approx(box_leak, abs=1e-12)
+    # and the mass it leaves out is the exact count of partitions outside the
+    # window box, rounded once
+    box_leak = Fraction(p_n - count_restricted(n, hi, hi), p_n)
+    assert result.leak_true == float(box_leak)
 
 
 def test_tv_k1_rejects_overflowing_n():

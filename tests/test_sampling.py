@@ -118,26 +118,22 @@ def test_exact_sampler_uniform_chi_square(table30):
 
 
 def test_boltzmann_basics(monkeypatch):
-    assert sample_boltzmann_batch(1, RngStream(4), 1)[0] == [(1,)]
-    draws, bstats = sample_boltzmann_batch(12, RngStream(5), 200)
+    assert sample_boltzmann_batch(1, RngStream(4).generator(), 1)[0] == [(1,)]
+    draws, bstats = sample_boltzmann_batch(12, RngStream(5).generator(), 200)
     assert all(type(p) is tuple and type(p[0]) is int for p in draws)
     assert all(sum(p) == 12 for p in draws)
     assert all(a >= b >= 1 for p in draws for a, b in zip(p, p[1:] + (1,)))
     assert bstats.accepted == 200
     assert 0.0 < bstats.acceptance_rate < 1.0
-    # a chunk of no rows would add no attempts, so the attempt cap below
-    # could never stop the loop
-    for chunk in (0, -1):
-        with pytest.raises(ValueError, match="chunk"):
-            sample_boltzmann_batch(12, RngStream(5), 1, chunk=chunk)
     monkeypatch.setattr(sampling, "BOLTZMANN_MAX_ATTEMPTS", 0)
     with pytest.raises(RuntimeError, match="attempts"):
-        sample_boltzmann_batch(12, RngStream(5), 10**9)
+        sample_boltzmann_batch(12, RngStream(5).generator(), 10**9)
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
-def test_boltzmann_uniform_chi_square(n):
-    accepted, _ = sample_boltzmann_batch(n, RngStream(6), 50_000, chunk=8192)
+def test_boltzmann_uniform_chi_square(n, monkeypatch):
+    monkeypatch.setattr(sampling, "BOLTZMANN_CHUNK_ROWS", 8192)
+    accepted, _ = sample_boltzmann_batch(n, RngStream(6).generator(), 50_000)
     counts = Counter(accepted)
     assert len(counts) == count_partitions(n)
     _, p_value = stats.chisquare(list(counts.values()))
@@ -156,7 +152,7 @@ def test_boltzmann_acceptance_rate_matches_closed_form(n):
     # the rate of `accepted` draws has relative sd about
     # sqrt((1 - rate) / accepted)
     exact = _acceptance_closed_form(n)
-    _, bstats = sample_boltzmann_batch(n, RngStream(13, n), 200)
+    _, bstats = sample_boltzmann_batch(n, RngStream(13, n).generator(), 200)
     sigma = exact * math.sqrt((1.0 - exact) / bstats.accepted)
     assert abs(bstats.acceptance_rate - exact) < 4.0 * sigma
     # the reported rate is the same formula with p(n) at leading order
@@ -168,7 +164,7 @@ def test_boltzmann_acceptance_power_law():
     # deciding the 1s last leaves a rate of order n^{-1/4}; the closed form
     # fits a slope of -0.255 on this grid
     ns = [100, 400, 1600, 6400]
-    rates = [sample_boltzmann_batch(n, RngStream(7, i), 120)[1].acceptance_rate
+    rates = [sample_boltzmann_batch(n, RngStream(7, i).generator(), 120)[1].acceptance_rate
              for i, n in enumerate(ns)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     slope = np.polyfit(np.log(ns), np.log(rates), 1)[0]
@@ -182,7 +178,7 @@ def test_boltzmann_chunk_memory_is_capped():
     n = 2_000_000
     tracemalloc.start()
     try:
-        (parts,), _ = sample_boltzmann_batch(n, RngStream(3), 1)
+        (parts,), _ = sample_boltzmann_batch(n, RngStream(3).generator(), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,7 +190,7 @@ def test_boltzmann_wilf_fraction_at_910():
     # the graphical fraction over Boltzmann draws agrees with the value that
     # exact draws give at n=910 (criterion 04)
     n, draws, target = 910, 2000, 0.3264
-    accepted, _ = sample_boltzmann_batch(n, RngStream(17), draws)
+    accepted, _ = sample_boltzmann_batch(n, RngStream(17).generator(), draws)
     value = sum(map(_nash_williams, accepted)) / draws
     sigma = math.sqrt(target * (1.0 - target) / draws)
     assert abs(value - target) < 3.0 * sigma, value
@@ -212,19 +208,19 @@ def test_slanted_transform_forced_points():
 
 
 def test_surrogate_draw_shape_and_monotonicity():
-    draw = sample_surrogate(2500, 6, RngStream(8))
+    draw = sample_surrogate(2500, 6, RngStream(8).generator())
     assert len(draw.sums) == len(draw.col_heights) == 6
     assert all(a < b for a, b in zip(draw.sums, draw.sums[1:]))
     assert all(a >= b for a, b in zip(draw.col_heights, draw.col_heights[1:]))
-    s, sd, h, w = surrogate_batch(2500, 5, RngStream(8, 1), 2000)
+    s, sd, h, w = surrogate_batch(2500, 5, RngStream(8, 1).generator(), 2000)
     assert (np.diff(s, axis=1) > 0).all()
     assert (np.diff(h, axis=1) <= 0).all()
     assert s.shape == h.shape == (2000, 5)
 
 
 def test_surrogate_batch_reproducible():
-    a = surrogate_batch(100, 3, RngStream(10, 2), 50)
-    b = surrogate_batch(100, 3, RngStream(10, 2), 50)
+    a = surrogate_batch(100, 3, RngStream(10, 2).generator(), 50)
+    b = surrogate_batch(100, 3, RngStream(10, 2).generator(), 50)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -246,7 +242,7 @@ def test_tie_probability_closed_form():
 
 def test_tie_probability_matches_expected_count():
     n, k, m = 10_000, 10, 200_000
-    s, _, heights, _ = surrogate_batch(n, k, RngStream(12), m)
+    s, _, heights, _ = surrogate_batch(n, k, RngStream(12).generator(), m)
     ratio_cap = math.exp(C / math.sqrt(n))
     near = s[:, 1:] <= ratio_cap * s[:, :-1]
     per_draw = near.sum(axis=1)
@@ -269,7 +265,7 @@ def test_overflow_bounds():
 
 def test_overflow_empirical_below_bounds():
     bounds = surrogate_overflow_bounds(10_000, 10)
-    freq_top, freq_bottom = overflow_empirical(10_000, 10, 100_000, RngStream(13))
+    freq_top, freq_bottom = overflow_empirical(10_000, 10, 100_000, RngStream(13).generator())
     assert freq_top <= bounds.top_bound + 1e-12
     assert freq_bottom <= bounds.bottom_bound
     # the bottom bound is the exact inequality 1 - e^{-x} <= x
@@ -277,6 +273,6 @@ def test_overflow_empirical_below_bounds():
 
 
 def test_exponential_sums_strictly_increasing():
-    s, sd = exponential_sums(RngStream(14), 1000, 8)
+    s, sd = exponential_sums(RngStream(14).generator(), 1000, 8)
     assert (np.diff(s, axis=1) > 0).all()
     assert (np.diff(sd, axis=1) > 0).all()
