@@ -1,8 +1,11 @@
 """Closed-form asymptotics for partition counts and their error machinery.
 
 Everything here is floating point.  Quantities that overflow doubles (the
-partition function grows like e^{pi sqrt(2n/3)}) are handled in log space;
-the plain-value entry points raise OverflowError where the math module does.
+partition function grows like e^{pi sqrt(2n/3)}) are returned as logs:
+`hardy_ramanujan_log`, `restricted_asymptotic_log`, `freiman_lhs` and
+`lemma1_bound_check`.  The functions that return plain floats,
+`headline_bound` and `rousseau_ali_lower`, return values in (0, 1].  The log
+of an exact big-integer count is `math.log` of it, which does not overflow.
 """
 
 from __future__ import annotations
@@ -10,19 +13,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple
 
-
-class AsymptoticConstants(NamedTuple):
-    """Constants of the sqrt(n) scaling of a random diagram."""
-
-    c: float = math.pi / math.sqrt(6.0)
-    b: float = 2.0 * math.pi / math.sqrt(6.0)
-    alpha: float = 2.0 / math.pi**2
-
-
-CONSTANTS = AsymptoticConstants()
-C = CONSTANTS.c
+# Scale of the sqrt(n) law of a random diagram: its largest part is about
+# (sqrt(n)/C) log(sqrt(n)/C), and C^2 = pi^2/6.
+C = math.pi / math.sqrt(6.0)
+# Decay constant of the Euler product away from the positive axis (Lemma 1).
+ALPHA = 2.0 / math.pi**2
 
 # Error-band multiplier used by the accuracy checks pairing exact counts with
 # the closed forms below.  The analytic error terms come with unspecified
@@ -34,16 +30,6 @@ BAND_CONSTANT = 5.0
 # Wedge half-aperture for the Euler-product expansion: |Im u| may be at most
 # this fraction of Re u.
 FREIMAN_WEDGE_RATIO = 0.1
-
-
-def log_of_count(x: int) -> float:
-    """Natural log of a positive big integer, safe beyond float range."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    shift = x.bit_length() - 53
-    if shift <= 0:
-        return math.log(x)
-    return math.log(x >> shift) + shift * math.log(2.0)
 
 
 def slant_bounds(n: int, h: float, w: float, rounding: str = "floor") -> tuple[int, int]:
@@ -71,11 +57,6 @@ def hardy_ramanujan_log(n: int) -> float:
     return math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * math.sqrt(3.0) * n)
 
 
-def hardy_ramanujan(n: int) -> float:
-    """Leading-order approximation to p(n); overflows doubles past n ~ 7.6e4."""
-    return math.exp(hardy_ramanujan_log(n))
-
-
 def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     """log of the leading term for doubly-restricted counts at slant levels (h, w).
 
@@ -91,13 +72,12 @@ def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     return hardy_ramanujan_log(n) - h - w
 
 
-def restricted_asymptotic(n: int, h: float, w: float) -> float:
-    return math.exp(restricted_asymptotic_log(n, h, w))
-
-
-# Most terms either truncated Euler product sums (freiman_lhs, and
-# lemma1_bound_check, which also holds its powers of r): freiman_lhs needs
-# them near Re u = 4.5e-6, where it takes about 4 s (2-core x86 VM).
+# Cap on the terms of one truncated Euler-product sum: freiman_lhs, and
+# lemma1_bound_check, which also keeps every power r^k of its sum in a tuple.
+# It bounds the time and memory of one call.  freiman_lhs reaches the cap
+# near Re u = 4.5e-6 and then takes about 4 s (2-core x86 VM); the tuple of
+# lemma1_bound_check holds about 0.3 GB of floats at the cap.  An argument
+# whose tail needs more terms raises ValueError instead of running on.
 EULER_MAX_TERMS = 10**7
 
 
@@ -190,8 +170,7 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     log_abs_pq = 0.0
     for k, rk in enumerate(powers, 1):
         log_abs_pq -= log(abs(1.0 - rk * exp(1j * k * theta)))
-    alpha = CONSTANTS.alpha
-    decay = alpha * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * alpha * theta**2))
+    decay = ALPHA * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * ALPHA * theta**2))
     return log_abs_pq, log_p_r - decay
 
 

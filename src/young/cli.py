@@ -235,13 +235,13 @@ def cmd_wilf(args) -> int:
     if args.exact:
         graphical, total = experiments.wilf_graphical_counts(args.n)
         payload.update({"mode": "exact", "graphical": str(graphical), "total": str(total),
-                        "estimate": experiments._exact_estimate(graphical / total, total).to_dict()})
+                        "estimate": experiments._exact_estimate(graphical / total, total)._asdict()})
     else:
         experiments._require_even(args.n)
         experiments._require_mc_args(args.n, args.samples)
         table = _load_table(args.n)
         est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args), table)
-        payload.update({"mode": "monte-carlo", "estimate": est.to_dict()})
+        payload.update({"mode": "monte-carlo", "estimate": est._asdict()})
     _emit_json(payload)
     _log(f"wilf n={args.n} done in {time.perf_counter() - t0:.1f}s")
     return 0
@@ -259,10 +259,10 @@ def cmd_macdonald(args) -> int:
         experiments._require_mc_args(args.n, args.samples)
         table = _load_table(args.n)
         result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
-        payload.update({"mode": "monte-carlo", "self_dual": result.self_dual.to_dict()})
+        payload.update({"mode": "monte-carlo", "self_dual": result.self_dual._asdict()})
     # "estimate" stays the one-sided P(lam dominates mu) for existing JSON readers
-    payload.update({"estimate": result.dominates.to_dict(),
-                    "comparable": result.comparable.to_dict()})
+    payload.update({"estimate": result.dominates._asdict(),
+                    "comparable": result.comparable._asdict()})
     _emit_json(payload)
     return 0
 
@@ -274,7 +274,7 @@ def cmd_pk(args) -> int:
     reference = None
     if args.k >= 16:
         reference = math.exp(-0.445 * math.log(args.k) / math.log(math.log(args.k)))
-    _emit_json({"op": "pk", "n": args.n, "k": args.k, "estimate": est.to_dict(),
+    _emit_json({"op": "pk", "n": args.n, "k": args.k, "estimate": est._asdict(),
                 "reference_decay": reference})
     return 0
 
@@ -306,7 +306,7 @@ def cmd_tv(args) -> int:
         table = _load_table(args.n)
         result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args), table)
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,
-                    "estimate": result.estimate.to_dict(), "cells": result.cells,
+                    "estimate": result.estimate._asdict(), "cells": result.cells,
                     "clip": result.clip})
     else:
         if args.k != 1:

@@ -54,9 +54,6 @@ class Estimate(_EstimateFields):
             raise ValueError("stderr must be 0 exactly for exact methods")
         return super().__new__(cls, value, stderr, samples, seed, stream_id, method)
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def _exact_estimate(value: float, samples: int) -> Estimate:
     return Estimate(value=value, stderr=0.0, samples=samples, seed=0, stream_id=0,
@@ -121,12 +118,6 @@ def wilf_graphical_counts(n: int) -> tuple[int, int]:
     return tally[True], tally.total()
 
 
-def wilf_fraction_exact(n: int) -> Estimate:
-    """Exact fraction of graphical partitions of even n by full enumeration."""
-    graphical, total = wilf_graphical_counts(n)
-    return _exact_estimate(graphical / total, samples=total)
-
-
 def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> Estimate:
     """Monte Carlo fraction of graphical partitions via the exact sampler."""
     _require_even(n)
@@ -140,12 +131,16 @@ def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> 
 MACDONALD_EXACT_CAP = 25
 
 
-class MacdonaldExact(NamedTuple):
+class Macdonald(NamedTuple):
+    """P(lam dominates mu) and P(comparable) for independent uniform lam, mu;
+    the Monte Carlo path also estimates P(conjugate of lam dominates lam)."""
+
     dominates: Estimate
     comparable: Estimate
+    self_dual: Estimate | None = None
 
 
-def macdonald_comparable_exact(n: int) -> MacdonaldExact:
+def macdonald_comparable_exact(n: int) -> Macdonald:
     """Exact P(lam dominates mu) and P(lam and mu are comparable) for two
     independent uniform partitions, over all p(n)^2 ordered pairs.
 
@@ -170,19 +165,13 @@ def macdonald_comparable_exact(n: int) -> MacdonaldExact:
         chunk = prefix[lo:lo + block]
         # pair (i, j) counted when prefix_i >= prefix_j everywhere
         dominating += int(np.all(chunk[:, None, :] >= prefix[None, :, :], axis=2).sum())
-    return MacdonaldExact(
+    return Macdonald(
         dominates=_exact_estimate(dominating / count**2, samples=count**2),
         comparable=_exact_estimate((2 * dominating - count) / count**2, samples=count**2),
     )
 
 
-class MacdonaldMC(NamedTuple):
-    dominates: Estimate
-    comparable: Estimate
-    self_dual: Estimate
-
-
-def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> MacdonaldMC:
+def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> Macdonald:
     """Monte Carlo P(lam dominates mu) and P(comparable) over independent
     pairs, plus P(conjugate of lam dominates lam) for a single draw."""
     _require_mc_args(n, samples)
@@ -194,7 +183,7 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
         dominating += forward
         comparable += forward or _dominates(mu, lam)
         self_dual += _dominates(_conjugate(lam), lam)
-    return MacdonaldMC(
+    return Macdonald(
         dominates=_bernoulli_estimate(dominating, samples, rng),
         comparable=_bernoulli_estimate(comparable, samples, rng),
         self_dual=_bernoulli_estimate(self_dual, samples, rng),
@@ -299,7 +288,11 @@ def ratio_bound(j: int, beta: float) -> float:
         raise ValueError(f"j must be at least 1, got {j}")
     if not 1.0 < beta < math.inf:
         raise ValueError("beta must exceed 1 and be finite")
-    return (1.0 + (beta - 1.0) ** 2 / (4.0 * beta)) ** (-j)
+    try:
+        spread = (beta - 1.0) ** 2
+    except OverflowError:
+        raise ValueError(f"beta={beta!r} too large: (beta - 1)^2 overflows a double") from None
+    return (1.0 + spread / (4.0 * beta)) ** (-j)
 
 
 def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:

@@ -11,15 +11,17 @@ the uniform itself.  `make_sampler` is the one entry point for exact draws; it
 takes an `RngStream`.
 
 Boltzmann draws come from `sample_boltzmann_batch`, whose memory does not grow
-with n squared.  It draws the multiplicities of the parts 2, 3, ... as
+with n squared.  It draws the multiplicities of the parts 2..jmax as
 independent geometrics at q = e^{-c/sqrt n} and decides the 1s last: with
 R = n minus the weight drawn, an attempt with R >= 0 is accepted with
-probability q^R and completed by R ones.  Every partition of n is then
-accepted with the same probability q^n prod_{j>=2} (1 - q^j), so the law is
-uniform, and an attempt succeeds with probability p(n) q^n prod_{j>=2} (1 - q^j),
-about n^{-1/4} (Arratia and DeSalvo, Combin. Probab. Comput. 25, 2016).  Its
-stats carry the acceptance rate; `boltzmann_expected_rate` gives the expected
-one.
+probability q^R and completed by R ones.  Every partition of n with largest
+part at most jmax is then accepted with the same probability
+q^n prod_{2<=j<=jmax} (1 - q^j), so the law is uniform over those partitions,
+and an attempt succeeds with probability about n^{-1/4} (Arratia and DeSalvo,
+Combin. Probab. Comput. 25, 2016).  jmax = n for every n <= 1871, so there
+the law is exactly uniform; `sample_boltzmann_batch` says what is lost above.
+Its stats carry the acceptance rate; `boltzmann_expected_rate` gives the
+expected one.
 
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
@@ -157,9 +159,17 @@ def sample_boltzmann_batch(n: int, gen: np.random.Generator, count: int):
     (1 - q^j) q^{jk} with q = e^{-c/sqrt n}, and sets R = n - sum_j j Z_j.
     When R >= 0 it is accepted with probability q^R and completed by R parts
     equal to 1.  A partition is then accepted with probability
-    q^n prod_{2<=j<=jmax} (1 - q^j), the same for every partition, so the
-    accepted law is uniform, and an attempt is accepted with probability
-    p(n) q^n prod_{2<=j<=jmax} (1 - q^j), about n^{-1/4}.
+    q^n prod_{2<=j<=jmax} (1 - q^j), the same for every partition whose
+    largest part is at most jmax, and an attempt is accepted with probability
+    p' q^n prod_{2<=j<=jmax} (1 - q^j), about n^{-1/4}, where p' <= p(n)
+    counts those partitions.
+
+    jmax = min(floor(80 log(2) sqrt(n) / c) + 1, n), the first part size with
+    q^j < 2^-80, capped at n.  For every n <= 1871 it is n, so the law is exactly
+    uniform over all partitions of n.  From n = 1872 on, partitions with a
+    part above jmax are never drawn: jmax is 1871 at n = 1872, 2162 at
+    n = 2500, 4324 at 10^4 and 13673 at 10^5.  Under the uniform law such
+    partitions have probability about (sqrt(n)/c) q^jmax < (sqrt(n)/c) 2^-80.
 
     Each chunk of attempts is sized from that rate to the draws still
     missing, capped by BOLTZMANN_CHUNK_ROWS rows and by

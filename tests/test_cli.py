@@ -290,6 +290,10 @@ def test_wilf_exact_and_mc(capsys, tmp_path, monkeypatch):
     (payload,) = check_json_lines(out)
     assert payload["estimate"]["value"] == pytest.approx(0.4)
     assert payload["graphical"] == "2"
+    code, out, _ = run_cli(capsys, "wilf", "--n", "30", "--exact")
+    (payload,) = check_json_lines(out)
+    assert payload["estimate"]["stderr"] == 0.0
+    assert payload["estimate"]["method"] == "exact-enumeration"
     code, out, _ = run_cli(capsys, "wilf", "--n", "10", "--samples", "2000", "--seed", "3")
     (payload,) = check_json_lines(out)
     assert payload["mode"] == "monte-carlo"
@@ -439,6 +443,7 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("bound", "--n", "20", "--constant", "1000", "--format", "json"), "constant"),
     (("chernoff", "--j", "5", "--beta", "nan", "--samples", "10"), "beta"),
     (("chernoff", "--j", "5", "--beta", "inf", "--samples", "10"), "beta"),
+    (("chernoff", "--j", "5", "--beta", "1e200", "--samples", "10"), "beta"),
     (("asymptotic", "--n", str(10**400)), "too large"),
     (("asymptotic", "--kind", "restricted", "--n", str(10**400), "--h", "1", "--w", "1"),
      "too large"),
@@ -455,8 +460,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1",
         "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
         "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
-        "asymptotic-n-huge", "asymptotic-restricted-n-huge", "tv-n-huge", "tv-mc-k-above-n",
-        "pk-k-above-n", "freiman-sweep-outside-wedge"])
+        "chernoff-beta-overflow", "asymptotic-n-huge", "asymptotic-restricted-n-huge",
+        "tv-n-huge", "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)

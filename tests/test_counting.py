@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import young
-from young.asymptotics import C, log_of_count
+from young.asymptotics import C
 from young.counting import (
     RestrictedCountTable,
     _gaussian_coeff,
@@ -325,16 +325,6 @@ def test_concurrent_saves_leave_one_whole_file(tmp_path):
     assert [worker.exitcode for worker in workers] == [0, 0, 0]
     assert [p.name for p in tmp_path.iterdir()] == ["counts.ypt"]
     assert RestrictedCountTable.load(path).row(300) == RestrictedCountTable.build(300).row(300)
-
-
-def test_log_of_count():
-    assert math.isclose(log_of_count(7), math.log(7), rel_tol=1e-15)
-    big = count_partitions(910)
-    # p(910) has 31 digits; compare against string-length bracketing
-    digits = len(str(big))
-    assert (digits - 1) * math.log(10) < log_of_count(big) < digits * math.log(10)
-    with pytest.raises(ValueError):
-        log_of_count(0)
 
 
 def test_only_counting_reads_the_table_layout():

@@ -19,7 +19,6 @@ from young.experiments import (
     surrogate_event_pk_curve,
     tv_distance_k1,
     tv_distance_mc,
-    wilf_fraction_exact,
     wilf_fraction_mc,
     wilf_graphical_counts,
 )
@@ -42,22 +41,20 @@ def test_estimate_invariant():
 
 
 def test_wilf_exact_small_values():
-    assert wilf_fraction_exact(2).value == 0.5
-    assert wilf_fraction_exact(4).value == pytest.approx(0.4)  # {(2,1,1), (1,1,1,1)}
+    assert wilf_graphical_counts(2) == (1, 2)
+    graphical, total = wilf_graphical_counts(4)
+    assert graphical / total == pytest.approx(0.4)  # {(2,1,1), (1,1,1,1)}
     assert wilf_graphical_counts(6) == (5, 11)  # not monotone this early
-    est = wilf_fraction_exact(30)
-    assert est.stderr == 0.0
-    assert est.method == "exact-enumeration"
     with pytest.raises(ValueError, match="even"):
-        wilf_fraction_exact(9)
+        wilf_graphical_counts(9)
     with pytest.raises(ValueError, match="cap"):
-        wilf_fraction_exact(82)
+        wilf_graphical_counts(82)
 
 
 def test_wilf_exact_mc_agreement(table60):
-    exact = wilf_fraction_exact(30)
+    graphical, total = wilf_graphical_counts(30)
     mc = wilf_fraction_mc(30, 20_000, RngStream(21), table60)
-    assert abs(mc.value - exact.value) <= 3.0 * mc.stderr
+    assert abs(mc.value - graphical / total) <= 3.0 * mc.stderr
     assert mc.seed == 21 and mc.method == "monte-carlo"
 
 

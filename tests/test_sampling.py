@@ -172,6 +172,15 @@ def test_boltzmann_acceptance_power_law():
     assert abs(slope - expected) < 0.15, (slope, expected)
 
 
+def test_boltzmann_drops_part_sizes_only_from_n_1872():
+    # every part size 1..n can be drawn, so the law is exactly uniform, for
+    # each n <= 1871; from n = 1872 on the sizes above jmax are never drawn
+    for n in range(2, 1872):
+        assert sampling._boltzmann_setup(n)[1].tolist() == list(range(2, n + 1)), n
+    for n, jmax in [(1872, 1871), (2500, 2162), (10**4, 4324), (10**5, 13673)]:
+        assert sampling._boltzmann_setup(n)[1].tolist() == list(range(2, jmax + 1)), n
+
+
 def test_boltzmann_chunk_memory_is_capped():
     # at n = 2e6 a part-size row has 61144 entries and one draw needs about
     # 150 attempts, a 74 MB matrix if the rows were not capped
