@@ -50,11 +50,20 @@ def slant_bounds(n: int, h: float, w: float, rounding: str = "floor") -> tuple[i
     return int(r), int(s)
 
 
+def _float_of(name: str, value: int) -> float:
+    """float(value), or a ValueError naming the argument when it is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} too large: beyond the float range") from None
+
+
 def hardy_ramanujan_log(n: int) -> float:
     """log of the leading-order partition count e^{pi sqrt(2n/3)} / (4 sqrt(3) n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * math.sqrt(3.0) * n)
+    x = _float_of("n", n)
+    return math.pi * math.sqrt(2.0 * x / 3.0) - math.log(4.0 * math.sqrt(3.0) * x)
 
 
 def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
@@ -66,7 +75,7 @@ def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     """
     if h <= 0 or w <= 0:
         raise ValueError("h and w must be positive")
-    cap = n ** 0.24
+    cap = _float_of("n", n) ** 0.24
     if h > cap or w > cap:
         raise ValueError(f"h, w must be <= n^0.24 = {cap:.3g}")
     return hardy_ramanujan_log(n) - h - w
@@ -191,8 +200,17 @@ def headline_bound(n: int, constant: float = 0.11) -> float:
 
 
 def rousseau_ali_lower(k: int) -> float:
-    """Central binomial lower bound 2^{-2k} C(2k, k), asymptotic to (pi k)^{-1/2}."""
+    """Central binomial lower bound 2^{-2k} C(2k, k), asymptotic to (pi k)^{-1/2}.
+
+    For k <= 1000 it is the big-integer ratio, rounded once.  Beyond, it is
+    (pi k)^{-1/2} (1 - 1/(8k) + 1/(128k^2) + 5/(1024k^3) - 21/(32768k^4)), the
+    series of Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)): its first dropped term
+    is below 2e-18 relative there, and no two terms cancel.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    log_value = math.lgamma(2 * k + 1) - 2.0 * math.lgamma(k + 1) - 2 * k * math.log(2.0)
-    return math.exp(log_value)
+    if k <= 1000:
+        return math.comb(2 * k, k) / 4**k
+    x = _float_of("k", k)
+    series = 1.0 + (-1 / 8 + (1 / 128 + (5 / 1024 - 21 / 32768 / x) / x) / x) / x
+    return series / math.sqrt(math.pi) / math.sqrt(x)

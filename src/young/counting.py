@@ -8,9 +8,11 @@ largest part and bounded number of parts (`count_restricted`, a Gaussian
 binomial taken by the q-binomial split: s divide passes plus J+1 dot
 products), with the literal product formula as an independent oracle.
 
-The table stores half cumulative rows plus prefix sums of p, and that layout
-is known only here: other modules read it through `entry`, `row` and
-`unrank`, the rank-to-partition map behind the exact sampler.
+The table stores the lower third of each cumulative row plus p(0..n_max);
+every entry above it is p(v) less one prefix sum of p plus a sum of every
+other prefix sum.  That layout is known only here: other modules read it
+through `entry`, `row` and `unrank`, the rank-to-partition map behind the
+exact sampler.
 """
 
 from __future__ import annotations
@@ -220,10 +222,10 @@ def joint_tail(n: int, h: float, w: float) -> JointTail:
     return JointTail(n=n, h=h, w=w, r=r, s=s, fraction=frac)
 
 
-# The largest n a count table is built for.  The table holds about n^2/4 big
-# integers and grows as n^2.15 (tracemalloc: 12.4 MB at n = 1000, 54.1 MB at
-# 2000, 245 MB at 4000); extrapolated, n = 1e4 takes about 1.8 GB and 2e4
-# about 8 GB.
+# The largest n a count table is built for.  The table holds about n^2/6 big
+# integers and grows as n^2.18 (tracemalloc: 8.3 MB at n = 1000, 36.1 MB at
+# 2000, 163 MB at 4000); extrapolated, n = 1e4 takes about 1.2 GB and 2e4
+# about 5.4 GB.
 TABLE_N_MAX = 10**4
 
 
@@ -236,66 +238,87 @@ class RestrictedCountTable:
     """Immutable table of partition counts by largest part, buildable and cacheable.
 
     entry(v, m) is the number of partitions of v with all parts <= m, for
-    v <= n_max, as an exact big integer.  Only the lower half of each
-    cumulative row is stored: half row v lists entry(v, m) for m = 0..v//2,
-    and the totals list p(0..n_max).  For m >= v/2 no part above m can repeat,
-    so entry(v, m) = p(v) - cum[v - m], with cum[k] = p(0) + ... + p(k-1)
-    derived from the totals once.  `row(v)` rebuilds the whole cumulative
-    row; `unrank` reads the half rows and cum directly.
+    v <= n_max, as an exact big integer.  Only the lower third of each
+    cumulative row is stored: stored row v lists entry(v, m) for m = 0..v//3,
+    and the totals list p(0..n_max).  Above it one closed form gives every
+    entry.  A largest part k > v/3 leaves v - k, of whose partitions
+    cum[v - 2k] have a part above k (that part is then unique), so
 
-    save/load keep one table per file, as a header and one bulk payload (see
+        entry(v, m) = p(v) - cum[v - m] + cum2[v - 2m]   for m >= v//3,
+
+    with cum[k] = p(0) + ... + p(k-1), cum2[j] = cum[j-2] + cum[j-4] + ...
+    (0 for j < 2), and cum2 of a negative index 0; for m >= v/2 it is
+    p(v) - cum[v - m].  cum and cum2 are derived from the totals once.
+    `row(v)` rebuilds the whole cumulative row; `unrank` reads the stored
+    rows, cum and cum2 directly.
+
+    save/load keep one table per file, as a header and one record per row (see
     the comment above save); load raises ValueError on a file of another
     version, another layout or a damaged one.
     """
 
     _MAGIC = b"YPTB"
-    _VERSION = 3
+    _VERSION = 4
     _HEADER = struct.Struct("<4sHBBQ")
+    _LENGTH = struct.Struct("<I")
     _MODE_CODE = 1
 
-    def __init__(self, n_max: int, half_rows: list[list[int]], totals: list[int]):
+    def __init__(self, n_max: int, rows: list[list[int]], totals: list[int]):
         self.n_max = n_max
-        self._half = half_rows
+        self._rows = rows
         self._totals = totals
-        self._cum = list(accumulate(totals, initial=0))
+        self._cum = cum = list(accumulate(totals, initial=0))
+        self._cum2 = cum2 = [0, 0]
+        for c in cum[:-2]:
+            cum2.append(c + cum2[-2])
 
     @classmethod
     def build(cls, n_max: int) -> "RestrictedCountTable":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         _require_table_fits(n_max)
-        # half row v accumulates entry(v - m, m) over m <= v//2: a stored
-        # entry while m <= (v - m)//2, that is m <= v//3, and
-        # p(v - m) - cum[v - 2m] from the upper half of row v - m beyond
-        # (map stops at the totals slice, which is empty when v//3 == v//2)
-        half = [[1]]
+        # row v accumulates entry(v - m, m), the partitions of v with largest
+        # part m, over m <= v//3: a stored entry while m <= (v - m)//3, that
+        # is m <= v//4, and the closed form of row v - m beyond, with
+        # index v - 3m >= 0 into cum2 (map stops at the totals slice, which
+        # is empty when v//4 == v//3)
+        rows = [[1]]
         totals = [1]
         cum = [0, 1]
+        cum2 = [0, 0]
         for v in range(1, n_max + 1):
-            a, h = v // 3, v // 2
-            row = list(accumulate(chain(map(getitem, half[v - 1:v - a - 1:-1], range(1, a + 1)),
-                                        map(sub, totals[v - a - 1:v - h - 1:-1],
-                                            cum[v - 2 * a - 2::-2])),
+            a, b = v // 4, v // 3
+            row = list(accumulate(chain(map(getitem, rows[v - 1:v - a - 1:-1], range(1, a + 1)),
+                                        map(add, map(sub, totals[v - a - 1:v - b - 1:-1],
+                                                     cum[v - 2 * a - 2::-2]),
+                                            cum2[v - 3 * a - 3::-3])),
                                   initial=0))
-            half.append(row)
-            total = row[h] + cum[v - h]
+            rows.append(row)
+            total = row[b] + cum[v - b] - cum2[v - 2 * b]
             totals.append(total)
             cum.append(cum[v] + total)
-        return cls(n_max, half, totals)
+            cum2.append(cum[v - 1] + cum2[v - 1])
+        return cls(n_max, rows, totals)
 
     def entry(self, v: int, m: int) -> int:
         if v > self.n_max:
             raise ValueError("weight beyond table range")
         if v < 0 or m < 0:
             return 0
-        if m <= v // 2:
-            return self._half[v][m]
-        return self._totals[v] - self._cum[max(v - m, 0)]
+        if m <= v // 3:
+            return self._rows[v][m]
+        return self._totals[v] - self._cum[max(v - m, 0)] + self._cum2[max(v - 2 * m, 0)]
 
     def row(self, v: int) -> list[int]:
         """Cumulative counts over the largest part for weight v: entry(v, m), m = 0..v."""
+        stored = self._rows[v]
+        b = v // 3
         total = self._totals[v]
-        return self._half[v] + [total - c for c in reversed(self._cum[:v - v // 2])]
+        upper = [total - c for c in reversed(self._cum[:v - b])]
+        # cum2[v - 2m] for m = b+1, b+2, ... while the index is at least 2
+        extra = self._cum2[max(v - 2 * b - 2, 0):1:-2]
+        upper[:len(extra)] = map(add, upper, extra)
+        return stored + upper
 
     def unrank(self, n: int, rank: int) -> tuple[int, ...]:
         """The partition of n at `rank` (0 <= rank < p(n)) in increasing lex order.
@@ -306,32 +329,49 @@ class RestrictedCountTable:
         rank - entry(v, m-1) is then a rank below the number of partitions of
         v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
 
-        Only the row up to m = v//2 is stored.  Above it,
-        entry(v, m) = p(v) - cum[v - m], so a part m > v/2 is found by one
-        bisection of cum for x = p(v) - rank: the k with cum[k] < x <= cum[k+1]
-        gives m = v - k and the new rank cum[k+1] - x.
+        Only the row up to m = v//3 is stored.  With x = p(v) - rank, a part
+        m > v/2 is found by one bisection of cum, since there
+        entry(v, m) = p(v) - cum[v - m]: the k with cum[k] < x <= cum[k+1]
+        gives m = v - k and the new rank cum[k+1] - x.  The rarer part in
+        (v/3, v/2] is found by bisecting the closed form over that range.
         """
         parts = []
         v = n
         bound = n
-        rows, totals, cum = self._half, self._totals, self._cum
+        rows, totals, cum, cum2 = self._rows, self._totals, self._cum, self._cum2
         while v:
             row = rows[v]
-            if bound + bound <= v:
+            if 3 * bound <= v:
                 # a repeated part takes the top interval of the row
                 m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
             else:
-                h = v >> 1
-                if rank < row[h]:
-                    m = bisect_right(row, rank, 1, h)
+                a = v // 3
+                if rank < row[a]:
+                    m = bisect_right(row, rank, 1, a)
                 else:
-                    # a part above v/2, so the rest k < v - k has no bound below
-                    # its weight, and bound = k acts as bound = v - k would
                     x = totals[v] - rank
-                    k = bisect_left(cum, x, 1, v - h) - 1
-                    rank = cum[k + 1] - x
-                    parts.append(v - k)
-                    v = bound = k
+                    h = v >> 1
+                    if x <= cum[v - h]:
+                        # a part above v/2, so the rest k < v - k has no bound
+                        # below its weight, and bound = k acts as bound = v - k
+                        k = bisect_left(cum, x, 1, v - h) - 1
+                        rank = cum[k + 1] - x
+                        parts.append(v - k)
+                        v = bound = k
+                        continue
+                    # the least m in (v/3, min(bound, v/2)] with entry(v, m) > rank
+                    lo = a + 1
+                    m = bound if bound < h else h
+                    while lo < m:
+                        mid = (lo + m) >> 1
+                        if cum[v - mid] - cum2[v - 2 * mid] < x:
+                            m = mid
+                        else:
+                            lo = mid + 1
+                    rank = cum[v - m + 1] - cum2[v - 2 * m + 2] - x
+                    parts.append(m)
+                    v -= m
+                    bound = m
                     continue
             if m == 1:
                 parts.extend([1] * v)
@@ -343,10 +383,13 @@ class RestrictedCountTable:
         return tuple(parts)
 
     # Cache file: a fixed header (magic, version, layout code 1, n_max), then
-    # one bulk payload, marshal.dumps((half_rows, totals)).  marshal builds
-    # only data and never runs code, and load() checks the shape and the type
-    # of every entry, and p(v) = row[v//2] + cum[v - v//2] for each total,
-    # before use.
+    # n_max + 2 records, each a 4-byte little-endian length and the
+    # marshal.dumps of one list: the totals p(0..n_max) first, then stored
+    # rows 0..n_max.  save and load go one record at a time, so neither holds
+    # a second copy of the table.  marshal builds only data and never runs
+    # code, and load() checks every length against the file, the shape and
+    # the type of every entry, and p(v) against the closed form at the last
+    # stored entry of row v, before use.
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the table to path atomically, through a per-process temp file."""
@@ -355,7 +398,10 @@ class RestrictedCountTable:
             with open(tmp, "wb") as fh:
                 fh.write(self._HEADER.pack(self._MAGIC, self._VERSION, self._MODE_CODE, 0,
                                            self.n_max))
-                fh.write(marshal.dumps((self._half, self._totals)))
+                for record in chain([self._totals], self._rows):
+                    data = marshal.dumps(record)
+                    fh.write(self._LENGTH.pack(len(data)))
+                    fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -376,25 +422,36 @@ class RestrictedCountTable:
                 raise ValueError(f"unsupported cache version {version}")
             if mode_code != cls._MODE_CODE:
                 raise ValueError(f"unknown cache mode code {mode_code}")
-            payload = fh.read()
-        try:
-            content = marshal.loads(payload)
-        except (EOFError, ValueError, TypeError) as exc:
-            raise ValueError(f"damaged cache payload: {exc}") from None
-        if type(content) is not tuple or len(content) != 2:
-            raise ValueError("cache payload is not a (half rows, totals) pair")
-        half, totals = content
-        if type(half) is not list or len(half) != n_max + 1:
-            raise ValueError("cache file has the wrong number of rows")
-        if type(totals) is not list or len(totals) != n_max + 1 or set(map(type, totals)) != {int}:
-            raise ValueError("cache file totals are damaged")
-        table = cls(n_max, half, totals)
-        cum = table._cum
-        for v, row in enumerate(half):
-            if (type(row) is not list or len(row) != v // 2 + 1 or set(map(type, row)) != {int}
-                    or totals[v] != row[-1] + cum[v - v // 2]):
-                raise ValueError(f"cache file row {v} or its total is damaged")
+            size = os.fstat(fh.fileno()).st_size
+            totals = cls._read_record(fh, size)
+            if len(totals) != n_max + 1:
+                raise ValueError("cache file totals are damaged")
+            table = cls(n_max, [], totals)
+            cum, cum2 = table._cum, table._cum2
+            for v in range(n_max + 1):
+                row = cls._read_record(fh, size)
+                b = v // 3
+                if len(row) != b + 1 or row[b] + cum[v - b] - cum2[v - 2 * b] != totals[v]:
+                    raise ValueError(f"cache file row {v} or its total is damaged")
+                table._rows.append(row)
         return table
+
+    @classmethod
+    def _read_record(cls, fh, size: int) -> list[int]:
+        """The next record of an open cache file of `size` bytes: a nonempty list of ints."""
+        raw = fh.read(cls._LENGTH.size)
+        if len(raw) != cls._LENGTH.size:
+            raise ValueError("cache file ends before its last record")
+        (length,) = cls._LENGTH.unpack(raw)
+        if length > size - fh.tell():
+            raise ValueError("cache record runs past the end of the file")
+        try:
+            record = marshal.loads(fh.read(length))
+        except (EOFError, ValueError, TypeError) as exc:
+            raise ValueError(f"damaged cache record: {exc}") from None
+        if type(record) is not list or set(map(type, record)) != {int}:
+            raise ValueError("cache record is not a list of integers")
+        return record
 
 
 def load_or_build(n_max: int) -> RestrictedCountTable:

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
-from .asymptotics import C, hardy_ramanujan_log
+from .asymptotics import C, _float_of, hardy_ramanujan_log
 from .counting import RestrictedCountTable, count_partitions, count_restricted
 from .partitions import _conjugate, _dominates, _nash_williams, partitions
 from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
@@ -242,7 +242,8 @@ def chernoff_bounds(j: int, d: float) -> tuple[float, float]:
         raise ValueError(f"j must be at least 1, got {j}")
     if not 0.0 < d < 1.0:
         raise ValueError("d must lie in (0, 1)")
-    return math.exp(j * (math.log1p(d) - d)), math.exp(-j * d * d / 2.0)
+    x = _float_of("j", j)
+    return math.exp(x * (math.log1p(d) - d)), math.exp(-x * d * d / 2.0)
 
 
 class BoundCheck(NamedTuple):
@@ -292,7 +293,7 @@ def ratio_bound(j: int, beta: float) -> float:
         spread = (beta - 1.0) ** 2
     except OverflowError:
         raise ValueError(f"beta={beta!r} too large: (beta - 1)^2 overflows a double") from None
-    return (1.0 + spread / (4.0 * beta)) ** (-j)
+    return (1.0 + spread / (4.0 * beta)) ** -_float_of("j", j)
 
 
 def ratio_bound_validate(j: int, beta: float, samples: int, rng) -> BoundCheck:

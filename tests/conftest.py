@@ -54,33 +54,62 @@ def _version_2(n_max: int) -> bytes:
     return _cache_file(n_max, marshal.dumps(_rows(n_max)), version=2)
 
 
+def _version_3(n_max: int) -> bytes:
+    """A by-largest-part file in the version-3 format: one marshal.dumps of the
+    half rows (m <= v//2) and the totals."""
+    rows = _rows(n_max)
+    half = [row[:v // 2 + 1] for v, row in enumerate(rows)]
+    totals = [row[-1] for row in rows]
+    return _cache_file(n_max, marshal.dumps((half, totals)), version=3)
+
+
 def _payload(n_max: int) -> tuple[list[list[int]], list[int]]:
     table = RestrictedCountTable.build(n_max)
-    return table._half, table._totals
+    return table._rows, table._totals
+
+
+def _records(n_max: int, rows: list, totals: list) -> bytes:
+    """A version-4 file: one length-prefixed marshal record for the totals,
+    then one per stored row."""
+    records = []
+    for record in [totals, *rows]:
+        data = marshal.dumps(record)
+        records.append(struct.pack("<I", len(data)) + data)
+    return _cache_file(n_max, b"".join(records))
 
 
 def _truncated(n_max: int) -> bytes:
-    whole = _cache_file(n_max, marshal.dumps(_payload(n_max)))
+    whole = _records(n_max, *_payload(n_max))
     return whole[:len(whole) // 2]
 
 
+def _record_past_end(n_max: int) -> bytes:
+    """Every record whole, but the last row's length prefix claims one byte
+    more than the file holds."""
+    rows, totals = _payload(n_max)
+    whole = _records(n_max, rows, totals)
+    last = len(marshal.dumps(rows[-1]))
+    cut = len(whole) - last - 4
+    return whole[:cut] + struct.pack("<I", last + 1) + whole[cut + 4:]
+
+
 def _short_row(n_max: int) -> bytes:
-    half, totals = _payload(n_max)
-    half[7].pop()
-    return _cache_file(n_max, marshal.dumps((half, totals)))
+    rows, totals = _payload(n_max)
+    rows[7].pop()
+    return _records(n_max, rows, totals)
 
 
 def _non_int_entry(n_max: int) -> bytes:
-    half, totals = _payload(n_max)
-    half[7][2] = float(half[7][2])
-    return _cache_file(n_max, marshal.dumps((half, totals)))
+    rows, totals = _payload(n_max)
+    rows[7][2] = float(rows[7][2])
+    return _records(n_max, rows, totals)
 
 
 def _damaged_total(n_max: int) -> bytes:
-    """Right shape and types, but p(7) off by one, so it disagrees with half row 7."""
-    half, totals = _payload(n_max)
+    """Right shape and types, but p(7) off by one, so it disagrees with stored row 7."""
+    rows, totals = _payload(n_max)
     totals[7] += 1
-    return _cache_file(n_max, marshal.dumps((half, totals)))
+    return _records(n_max, rows, totals)
 
 
 DAMAGED_CACHES = {
@@ -89,6 +118,8 @@ DAMAGED_CACHES = {
     "truncated-payload": _truncated,
     "version-1": _version_1,
     "version-2": _version_2,
+    "version-3": _version_3,
+    "record-past-end": _record_past_end,
     "short-row": _short_row,
     "non-int-entry": _non_int_entry,
     "damaged-total": _damaged_total,

@@ -217,3 +217,17 @@ def test_rousseau_ali_lower():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         rousseau_ali_lower(0)
+    with pytest.raises(ValueError, match="k too large"):
+        rousseau_ali_lower(10**400)
+
+
+def test_rousseau_ali_lower_matches_the_exact_ratio():
+    for k in range(1, 2001):
+        assert math.isclose(rousseau_ali_lower(k), math.comb(2 * k, k) / 4**k, rel_tol=1e-14), k
+
+
+@pytest.mark.parametrize("k", [10**6, 10**10, 10**13, 10**15, 10**17])
+def test_rousseau_ali_lower_does_not_cancel_at_large_k(k):
+    # the next term of the series, 1/(128k^2), is below 1e-14 relative here
+    want = (math.pi * k) ** -0.5 * (1.0 - 1.0 / (8 * k))
+    assert math.isclose(rousseau_ali_lower(k), want, rel_tol=1e-12)

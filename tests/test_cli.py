@@ -444,10 +444,13 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("chernoff", "--j", "5", "--beta", "nan", "--samples", "10"), "beta"),
     (("chernoff", "--j", "5", "--beta", "inf", "--samples", "10"), "beta"),
     (("chernoff", "--j", "5", "--beta", "1e200", "--samples", "10"), "beta"),
-    (("asymptotic", "--n", str(10**400)), "too large"),
+    (("asymptotic", "--n", str(10**400)), "n too large"),
     (("asymptotic", "--kind", "restricted", "--n", str(10**400), "--h", "1", "--w", "1"),
-     "too large"),
-    (("tv", "--n", str(10**400)), "too large"),
+     "n too large"),
+    (("tv", "--n", str(10**400)), "n too large"),
+    (("asymptotic", "--kind", "rousseau-ali", "--k", str(10**400)), "k too large"),
+    (("chernoff", "--j", str(10**400), "--beta", "2", "--samples", "10"), "j too large"),
+    (("chernoff", "--j", str(10**400), "--d", "0.5", "--samples", "10"), "j too large"),
     (("tv", "--mc", "--n", "10", "--k", "11"), "k must be at most"),
     (("pk", "--n", "10", "--k", "11"), "k must be at most"),
     (("freiman-sweep", "--imag-ratio", "0.2"), "u outside the wedge"),
@@ -461,7 +464,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
         "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
         "chernoff-beta-overflow", "asymptotic-n-huge", "asymptotic-restricted-n-huge",
-        "tv-n-huge", "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge"])
+        "tv-n-huge", "rousseau-ali-k-huge", "chernoff-beta-j-huge", "chernoff-d-j-huge",
+        "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -529,7 +533,7 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damaged_ca
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert out == expected
-    assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 3
+    assert RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1] == 4
     assert RestrictedCountTable.load(path).row(25) == RestrictedCountTable.build(25).row(25)
 
 

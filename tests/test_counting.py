@@ -212,9 +212,9 @@ def test_table_build_matches_row_loop():
 
 
 def test_table_stores_half_rows():
-    # entry(v, m) for m > v/2 comes from p(v) and the prefix sums of p, so a
-    # stored row stops at v // 2 and the table of 910 holds about half of the
-    # 20 MB that the full rows took
+    # entry(v, m) for m > v/3 comes from p(v) and two prefix sums of p, so a
+    # stored row stops at v // 3 and the table of 910 holds about a third of
+    # the 20 MB that the full rows took
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -222,27 +222,53 @@ def test_table_stores_half_rows():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert [len(table._half[v]) for v in range(911)] == [v // 2 + 1 for v in range(911)]
-    assert held < 12e6, held
+    assert [len(table._rows[v]) for v in range(911)] == [v // 3 + 1 for v in range(911)]
+    assert held < 8e6, held
     assert table._totals == [count_partitions(v) for v in range(911)]
 
 
 def test_table_cache_file_size(tmp_path):
     path = tmp_path / "t.ypt"
     RestrictedCountTable.build(910).save(path)
-    assert path.stat().st_size < 3.5e6
+    assert path.stat().st_size < 2.5e6
+
+
+def test_table_save_and_load_hold_one_copy(tmp_path):
+    # save and load go one record at a time, so at their peak they hold the
+    # table and one row, not a second, serialized copy of the whole table
+    path = tmp_path / "t.ypt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = RestrictedCountTable.build(910)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        table.save(path)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        del table
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = RestrictedCountTable.load(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert save_peak - held < 1e6, (save_peak, held)
+    assert load_peak - held < 1e6, (load_peak, held)
+    assert loaded.row(910) == RestrictedCountTable.build(910).row(910)
 
 
 def test_largest_part_table_entries():
-    table = RestrictedCountTable.build(30)
-    for v in range(31):
-        for m in range(v + 1):
-            assert table.entry(v, m) == count_restricted(v, m, v)
+    # v <= 60 puts several m in (v/3, v/2], where the closed form has three terms
+    table = RestrictedCountTable.build(60)
+    for v in range(61):
+        want = [count_restricted(v, m, v) for m in range(v + 1)]
+        assert [table.entry(v, m) for m in range(v + 1)] == want, v
         row = table.row(v)
+        assert row == want, v
         assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
     assert table.entry(12, 40) == count_partitions(12)
     with pytest.raises(ValueError):
-        table.entry(31, 3)
+        table.entry(61, 3)
 
 
 def test_table_cache_roundtrip(tmp_path):
@@ -295,7 +321,7 @@ def test_load_or_build_rebuilds_damaged_file(tmp_path, monkeypatch, damaged_cach
     expected = [RestrictedCountTable.build(25).row(v) for v in range(26)]
     assert [table.row(v) for v in range(26)] == expected
     version = RestrictedCountTable._HEADER.unpack_from(path.read_bytes())[1]
-    assert version == RestrictedCountTable._VERSION == 3
+    assert version == RestrictedCountTable._VERSION == 4
     assert [RestrictedCountTable.load(path).row(v) for v in range(26)] == expected
 
 
@@ -328,9 +354,9 @@ def test_concurrent_saves_leave_one_whole_file(tmp_path):
 
 
 def test_only_counting_reads_the_table_layout():
-    # the half rows, totals and prefix sums are private to counting.py; every
-    # other module goes through entry, row and unrank
+    # the stored rows, totals and prefix sums are private to counting.py;
+    # every other module goes through entry, row and unrank
     src = Path(young.__file__).parent
     readers = sorted(path.name for path in src.glob("*.py") if path.name != "counting.py"
-                     and re.search(r"\._(half|totals|cum)\b", path.read_text()))
+                     and re.search(r"\._(rows|totals|cum2?)\b", path.read_text()))
     assert readers == []
