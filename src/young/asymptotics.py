@@ -32,6 +32,13 @@ BAND_CONSTANT = 5.0
 FREIMAN_WEDGE_RATIO = 0.1
 
 
+def _require_levels(h: float, w: float) -> None:
+    """Reject a slant level that is not positive and finite, naming it."""
+    for name, level in (("h", h), ("w", w)):
+        if not 0.0 < level < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {level!r}")
+
+
 def slant_bounds(n: int, h: float, w: float, rounding: str = "floor") -> tuple[int, int]:
     """Map tail levels (h, w) to integer part/count bounds (r, s).
 
@@ -41,8 +48,7 @@ def slant_bounds(n: int, h: float, w: float, rounding: str = "floor") -> tuple[i
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if h <= 0 or w <= 0:
-        raise ValueError("h and w must be positive")
+    _require_levels(h, w)
     scale = math.sqrt(n) / C
     op = {"floor": math.floor, "ceil": math.ceil}[rounding]
     r = op(scale * math.log(scale / h))
@@ -73,8 +79,7 @@ def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     h, w <= n^{0.24}.  Callers pair the value with the exact count at
     (r, s) = slant_bounds(n, h, w, "floor").
     """
-    if h <= 0 or w <= 0:
-        raise ValueError("h and w must be positive")
+    _require_levels(h, w)
     cap = _float_of("n", n) ** 0.24
     if h > cap or w > cap:
         raise ValueError(f"h, w must be <= n^0.24 = {cap:.3g}")

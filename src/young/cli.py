@@ -135,6 +135,9 @@ def cmd_freiman_sweep(args) -> int:
 def cmd_lemma1_grid(args) -> int:
     _require_at_least("--r-count", args.r_count, 2)
     _require_at_least("--theta-count", args.theta_count, 1)
+    # the grid steps divide by both counts as floats
+    asymptotics._float_of("--r-count", args.r_count)
+    asymptotics._float_of("--theta-count", args.theta_count)
     rows = []
     all_hold = True
     for i in range(args.r_count):
@@ -178,6 +181,9 @@ def cmd_sample(args) -> int:
     if args.method == "exact" and args.n > counting.TABLE_N_MAX:
         raise ValueError(f"exact draws need a count table, limited to n <= "
                          f"{counting.TABLE_N_MAX}; use --method boltzmann")
+    if args.method == "boltzmann":
+        # also refuses an n too large for Boltzmann draws before the header
+        expected_rate = sampling.boltzmann_expected_rate(args.n)
     stream = _stream(args)
     _emit_json({"op": "sample", "n": args.n, "method": args.method,
                 "seed": args.seed, "stream_id": args.stream, "count": args.count})
@@ -201,7 +207,7 @@ def cmd_sample(args) -> int:
             sys.stdout.write(json.dumps(parts) + "\n")
         del draws  # free this block before the next one is drawn
     _log(f"acceptance rate {total.acceptance_rate:.3g} "
-         f"(expected {sampling.boltzmann_expected_rate(args.n):.3g}) "
+         f"(expected {expected_rate:.3g}) "
          f"over {total.attempts} attempts")
     return 0
 
@@ -209,8 +215,7 @@ def cmd_sample(args) -> int:
 def cmd_sample_surrogate(args) -> int:
     from . import sampling
 
-    _require_at_least("n", args.n, 1)
-    _require_at_least("k", args.k, 1)
+    sampling._require_surrogate_args(args.n, args.k)
     _require_at_least("count", args.count, 0)
     stream = _stream(args)
     _emit_json({"op": "sample-surrogate", "n": args.n, "k": args.k,
@@ -303,8 +308,9 @@ def cmd_tv(args) -> int:
     _require_at_least("n", args.n, 2)
     if args.mc:
         experiments._require_mc_args(args.n, args.samples, args.k)
-        table = _load_table(args.n)
-        result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args), table)
+        # the table is passed as its only reference, so tv_distance_mc can free it
+        result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args),
+                                            _load_table(args.n))
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,
                     "estimate": result.estimate._asdict(), "cells": result.cells,
                     "clip": result.clip})

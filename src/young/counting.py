@@ -211,8 +211,6 @@ def joint_tail(n: int, h: float, w: float) -> JointTail:
     slant transform; the result is the exact ratio of the doubly-restricted
     count to p(n).
     """
-    if h <= 0 or w <= 0:
-        raise ValueError("h and w must be positive")
     r, s = slant_bounds(n, h, w, rounding="ceil")
     if r <= 0 or s <= 0:
         raise ValueError("degenerate bounds: r and s must be >= 1")

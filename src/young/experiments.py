@@ -214,7 +214,13 @@ def surrogate_event_pk(n: int, k: int, samples: int, rng) -> Estimate:
 
 
 def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimate]:
-    """P_k estimates at several k from one shared sample, preserving nesting."""
+    """P_k estimates at several k from one shared sample, preserving nesting.
+
+    Each chunk works in the two sum matrices it draws: logs, their difference,
+    the running sum and the running minimum are taken in place, and the chunk
+    is dropped before the next one is drawn, so a call holds about two
+    chunk-sized arrays (2 MB) whatever the sample count.
+    """
     import numpy as np
 
     ks = sorted(set(int(k) for k in ks))
@@ -229,10 +235,14 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
     thresh = -math.log(2.0)
     idx = [k - 1 for k in ks]
     for m in _surrogate_chunks(samples, kmax):
-        s, s_dual = exponential_sums(gen, m, kmax)
-        drift = np.cumsum(np.log(s_dual) - np.log(s), axis=1)
-        running_min = np.minimum.accumulate(drift, axis=1)[:, idx]
-        hits += np.count_nonzero(running_min >= thresh, axis=0)
+        s, drift = exponential_sums(gen, m, kmax)
+        np.log(drift, out=drift)
+        np.subtract(drift, np.log(s, out=s), out=drift)
+        del s
+        np.cumsum(drift, axis=1, out=drift)
+        np.minimum.accumulate(drift, axis=1, out=drift)
+        hits += np.count_nonzero(drift[:, idx] >= thresh, axis=0)
+        del drift
     return {k: _bernoulli_estimate(int(h), samples, rng) for k, h in zip(ks, hits)}
 
 
@@ -467,6 +477,10 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     sqrt(cells / (2 samples)) / sqrt(2).  compare_with="self" replaces the
     surrogate with a second independent exact stream, a null check whose
     distance should sit at the noise floor.
+
+    Against the surrogate the table is dropped once the exact cells are
+    tallied, before numpy loads, so a caller that hands over its only
+    reference never holds the table and numpy at once.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -484,6 +498,7 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     if compare_with == "self":
         counts_model = Counter(map(cell, _draws(n, samples, model, table)))
     else:
+        del table
         import numpy as np
 
         counts_model = Counter()

@@ -40,7 +40,7 @@ import math
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .asymptotics import C, hardy_ramanujan_log
+from .asymptotics import C, _float_of, hardy_ramanujan_log
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,16 +112,33 @@ class BoltzmannStats(NamedTuple):
         return self.accepted / self.attempts if self.attempts else 0.0
 
 
+# a batch that has made this many attempts without completing raises
+BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
+
+# one chunk's multiplicity matrix holds at most this many rows (attempts) and
+# this many int64 entries (32 MiB)
+BOLTZMANN_CHUNK_ROWS = 2048
+BOLTZMANN_CHUNK_ENTRIES = 2**22
+
+
 def _boltzmann_setup(n: int):
     """(q, part sizes 2..jmax, their success probabilities 1 - q^j, expected
-    acceptance rate) for draws of size n."""
-    import numpy as np
+    acceptance rate) for draws of size n.
 
-    q = math.exp(-C / math.sqrt(n))
+    One attempt draws jmax - 1 multiplicities, which must fit one chunk of
+    BOLTZMANN_CHUNK_ENTRIES; n above about 9.41e9 needs more and is refused.
+    """
+    root = math.sqrt(_float_of("n", n))
+    q = math.exp(-C / root)
     # parts with q^j below 2^-80 are dropped; their total probability is
     # smaller than the rejection loop can ever observe.  Parts above n are
     # dropped too: an accepted draw has none, so the accepted law is unchanged
-    jmax = min(int(80.0 * math.log(2.0) * math.sqrt(n) / C) + 1, n)
+    jmax = min(int(80.0 * math.log(2.0) * root / C) + 1, n)
+    if jmax - 1 > BOLTZMANN_CHUNK_ENTRIES:
+        raise ValueError(f"n={n} too large for Boltzmann draws: one attempt needs {jmax - 1} "
+                         f"multiplicities, above the chunk limit {BOLTZMANN_CHUNK_ENTRIES}")
+    import numpy as np
+
     j = np.arange(2, jmax + 1)
     probs = -np.expm1(j * math.log(q))  # 1 - q^j, accurate near 0
     # p(n) q^n prod (1 - q^j) in log space, p(n) at leading order
@@ -139,15 +156,6 @@ def boltzmann_expected_rate(n: int) -> float:
     if n < 1:
         raise ValueError("n must be positive")
     return _boltzmann_setup(n)[3]
-
-
-# a batch that has made this many attempts without completing raises
-BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
-
-# one chunk's multiplicity matrix holds at most this many rows (attempts) and
-# this many int64 entries (32 MiB)
-BOLTZMANN_CHUNK_ROWS = 2048
-BOLTZMANN_CHUNK_ENTRIES = 2**22
 
 
 def sample_boltzmann_batch(n: int, gen: np.random.Generator, count: int):
@@ -173,14 +181,15 @@ def sample_boltzmann_batch(n: int, gen: np.random.Generator, count: int):
 
     Each chunk of attempts is sized from that rate to the draws still
     missing, capped by BOLTZMANN_CHUNK_ROWS rows and by
-    BOLTZMANN_CHUNK_ENTRIES entries.
+    BOLTZMANN_CHUNK_ENTRIES entries.  n above about 9.41e9, where a single
+    attempt would pass the entry cap, is refused with a ValueError.
     """
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be positive")
     q, weights, probs, rate = _boltzmann_setup(n)
-    max_rows = max(1, min(BOLTZMANN_CHUNK_ROWS, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights))))
+    max_rows = min(BOLTZMANN_CHUNK_ROWS, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights)))
     out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < count:
@@ -235,20 +244,43 @@ def slanted_heights(n: int, sums) -> np.ndarray:
     return np.ceil(x - 1e-9).astype(np.int64)
 
 
-def exponential_sums(gen: np.random.Generator, count: int,
-                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(count, k) partial-sum matrices for the two independent sequences."""
+def _partial_sums(gen: np.random.Generator, count: int, k: int) -> np.ndarray:
+    """(count, k) partial sums of unit exponentials, built in the one array drawn."""
     import numpy as np
 
-    e = -np.log1p(-gen.random((count, k)))
-    e_dual = -np.log1p(-gen.random((count, k)))
-    return np.cumsum(e, axis=1), np.cumsum(e_dual, axis=1)
+    x = gen.random((count, k))
+    # -log1p(-u) by inverse CDF, then the running sum along each row
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    np.negative(x, out=x)
+    return np.cumsum(x, axis=1, out=x)
+
+
+def exponential_sums(gen: np.random.Generator, count: int,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, k) partial-sum matrices for the two independent sequences.
+
+    The first matrix is drawn and summed before the second is drawn, each in
+    place, so a call holds only the two matrices it returns.
+    """
+    return _partial_sums(gen, count, k), _partial_sums(gen, count, k)
+
+
+def _require_surrogate_args(n: int, k: int) -> None:
+    """Reject a surrogate (n, k) before anything is drawn or written; the
+    slant needs sqrt(n) as a float."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > n:
+        raise ValueError(f"k must be at most n={n}, got {k}")
+    _float_of("n", n)
 
 
 def sample_surrogate(n: int, k: int, gen: np.random.Generator) -> SurrogateDraw:
     """One surrogate draw: 2k exponentials via inverse CDF, then the slant."""
-    if k < 1 or n < 1:
-        raise ValueError("n and k must be positive")
+    _require_surrogate_args(n, k)
     s, s_dual, heights, widths = surrogate_batch(n, k, gen, 1)
     return SurrogateDraw(
         n=n, k=k,

@@ -88,6 +88,11 @@ def test_slant_bounds():
     assert rf == math.floor(scale * math.log(scale))
     with pytest.raises(ValueError):
         slant_bounds(100, 0.0, 1.0)
+    for h, w, name in [(1.0, math.nan, "w"), (math.inf, 1.0, "h"), (-math.inf, 1.0, "h")]:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            slant_bounds(100, h, w)
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            restricted_asymptotic_log(100, h, w)
 
 
 def test_freiman_truncation_and_wedge():

@@ -454,6 +454,14 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("tv", "--mc", "--n", "10", "--k", "11"), "k must be at most"),
     (("pk", "--n", "10", "--k", "11"), "k must be at most"),
     (("freiman-sweep", "--imag-ratio", "0.2"), "u outside the wedge"),
+    (("sample-surrogate", "--n", str(10**400)), "n too large"),
+    (("sample-surrogate", "--n", "10", "--k", str(10**20)), "k must be at most"),
+    (("lemma1-grid", "--r-count", str(10**400)), "--r-count too large"),
+    (("lemma1-grid", "--theta-count", str(10**400)), "--theta-count too large"),
+    (("sample", "--method", "boltzmann", "--n", str(10**30), "--count", "1"),
+     f"n={10**30} too large for Boltzmann draws"),
+    (("asymptotic", "--kind", "restricted", "--n", "100", "--h", "1", "--w", "nan"),
+     "w must be positive and finite"),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
@@ -465,7 +473,9 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
         "chernoff-beta-overflow", "asymptotic-n-huge", "asymptotic-restricted-n-huge",
         "tv-n-huge", "rousseau-ali-k-huge", "chernoff-beta-j-huge", "chernoff-d-j-huge",
-        "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge"])
+        "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge",
+        "sample-surrogate-n-huge", "sample-surrogate-k-above-n", "lemma1-grid-r-count-huge",
+        "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge", "asymptotic-restricted-w-nan"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)

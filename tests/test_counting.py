@@ -187,6 +187,9 @@ def test_joint_tail_degenerate_bounds():
         joint_tail(100, scale, 1.0)  # log term hits zero
     with pytest.raises(ValueError):
         joint_tail(100, 0.5, -1.0)
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            joint_tail(100, h, 1.0)
 
 
 def _table_rows_by_loop(n_max):

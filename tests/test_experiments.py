@@ -1,9 +1,13 @@
 import math
+import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from young import experiments
 from young.counting import RestrictedCountTable, count_partitions, count_restricted
 from young.experiments import (
     Estimate,
@@ -148,6 +152,19 @@ def test_pk_curve_nested_monotone():
         surrogate_event_pk_curve(10, [1, 11], 10, RngStream(27))
     with pytest.raises(ValueError, match="ks"):
         surrogate_event_pk_curve(10, [], 10, RngStream(27))
+
+
+def test_pk_holds_one_chunk_at_a_time():
+    # each chunk is worked in place in the two 1 MB sum matrices it draws and
+    # dropped before the next one, so 200000 samples at k=16 peak near 2 MB
+    RngStream(0).generator()  # numpy.random loads outside the trace
+    tracemalloc.start()
+    try:
+        surrogate_event_pk(910, 16, 200_000, RngStream(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_chernoff_bounds_and_validation():
@@ -307,3 +324,25 @@ def test_tv_mc_matches_exact_at_k1():
     assert abs(result.estimate.value - exact) <= 3.0 * result.estimate.stderr
     assert result.cells > 10
     assert result.clip > 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller keeps its call arguments alive")
+def test_tv_mc_frees_the_table_before_the_surrogate(monkeypatch):
+    refs = []
+    freed = []
+
+    def table():
+        built = RestrictedCountTable.build(60)
+        refs.append(weakref.ref(built))
+        return built
+
+    def surrogate_batch(*args):
+        freed.append(refs[0]() is None)
+        return real(*args)
+
+    real = experiments.surrogate_batch
+    monkeypatch.setattr(experiments, "surrogate_batch", surrogate_batch)
+    # the call holds the only reference to the table
+    tv_distance_mc(60, 2, 500, RngStream(34), table())
+    assert freed == [True]

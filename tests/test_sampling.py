@@ -195,6 +195,19 @@ def test_boltzmann_chunk_memory_is_capped():
     assert peak < 8 * sampling.BOLTZMANN_CHUNK_ENTRIES + 4e6, peak
 
 
+def test_boltzmann_refuses_n_past_one_row_per_chunk():
+    # from n = 9411039912 on one attempt needs more than
+    # BOLTZMANN_CHUNK_ENTRIES multiplicities; such n is refused, naming it,
+    # before any array is made
+    for n, message in [(9_411_039_912, "n=9411039912 too large"),
+                       (2 * 10**10, "n=20000000000 too large"),
+                       (10**30, f"n={10**30} too large"), (10**400, "n too large")]:
+        with pytest.raises(ValueError, match=message):
+            boltzmann_expected_rate(n)
+        with pytest.raises(ValueError, match=message):
+            sample_boltzmann_batch(n, RngStream(3).generator(), 1)
+
+
 def test_boltzmann_wilf_fraction_at_910():
     # the graphical fraction over Boltzmann draws agrees with the value that
     # exact draws give at n=910 (criterion 04)
@@ -225,6 +238,24 @@ def test_surrogate_draw_shape_and_monotonicity():
     assert (np.diff(s, axis=1) > 0).all()
     assert (np.diff(h, axis=1) <= 0).all()
     assert s.shape == h.shape == (2000, 5)
+
+
+def test_surrogate_rejects_k_above_n_and_n_beyond_floats():
+    gen = RngStream(9).generator()
+    with pytest.raises(ValueError, match="k must be at most n=10"):
+        sample_surrogate(10, 11, gen)
+    with pytest.raises(ValueError, match="n too large"):
+        sample_surrogate(10**400, 1, gen)
+
+
+def test_exponential_sums_match_the_out_of_place_formula():
+    # the in-place build draws, transforms and sums exactly as
+    # cumsum(-log1p(-u)) does, the first matrix before the second
+    s, s_dual = exponential_sums(RngStream(10, 3).generator(), 300, 7)
+    gen = RngStream(10, 3).generator()
+    for got in (s, s_dual):
+        want = np.cumsum(-np.log1p(-gen.random((300, 7))), axis=1)
+        assert np.array_equal(got, want)
 
 
 def test_surrogate_batch_reproducible():
