@@ -149,16 +149,24 @@ def freiman_remainder(u: complex) -> complex:
     return freiman_lhs(u) - freiman_main_term(u)
 
 
+def _lemma1_terms(r: float) -> int:
+    """Terms of the 1e-16 truncation of the Euler product at r, which grow
+    with r; an r outside (0, 1) or past EULER_MAX_TERMS raises ValueError."""
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
+    terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
+    if terms > EULER_MAX_TERMS:
+        raise ValueError(f"r = {r!r} needs {terms} terms for a 1e-16 tail, "
+                         f"more than the {EULER_MAX_TERMS} that are summed")
+    return terms
+
+
 @functools.lru_cache(maxsize=2)
 def _lemma1_r_side(r: float) -> tuple[tuple[float, ...], float]:
     """The theta-free half of lemma1_bound_check: the powers r^k up to the
     truncation, and log of the Euler product at r.  Grids hold r fixed over a
     run of theta, so the last two r are kept."""
-    terms = max(int(math.ceil(math.log(1e-16 * (1.0 - r)) / math.log(r))), 1)
-    if terms > EULER_MAX_TERMS:
-        raise ValueError(f"r = {r!r} needs {terms} terms for a 1e-16 tail, "
-                         f"more than the {EULER_MAX_TERMS} that are summed")
-    powers = tuple(r**k for k in range(1, terms + 1))
+    powers = tuple(r**k for k in range(1, _lemma1_terms(r) + 1))
     log = math.log
     log_p_r = 0.0
     for rk in powers:
@@ -177,8 +185,6 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     An r whose 1e-16 truncation needs more than EULER_MAX_TERMS terms raises
     ValueError before any power is built.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
     powers, log_p_r = _lemma1_r_side(r)
     log, exp = math.log, cmath.exp
     log_abs_pq = 0.0

@@ -6,9 +6,10 @@ flags and seed the emitted body is byte-identical run to run.  Exit codes:
 0 success, 2 validation error (an input out of range, float range included),
 3 cache or I/O error.
 
-sample, wilf, macdonald and tv --mc build a count table for their n.  It is
-cached on disk only when the environment variable YOUNG_CACHE_DIR names a
-directory, and no flag sets one; otherwise nothing is read or written.
+sample, wilf, macdonald and tv --mc draw exact uniform partitions, and the
+sampler builds the count table it needs.  That table is cached on disk only
+when the environment variable YOUNG_CACHE_DIR names a directory, and no flag
+sets one; otherwise nothing is read or written.
 
 Output formats, the default first; `--format` exists only where there are two:
 
@@ -33,6 +34,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 from . import asymptotics
 
@@ -56,15 +58,6 @@ def _stream(args):
     from . import sampling
 
     return sampling.RngStream(seed=args.seed, stream_id=args.stream)
-
-
-def _load_table(n: int):
-    from . import counting
-
-    t0 = time.perf_counter()
-    table = counting.load_or_build(n)
-    _log(f"table n_max={n} ready in {time.perf_counter() - t0:.2f}s")
-    return table
 
 
 def cmd_count(args) -> int:
@@ -138,20 +131,30 @@ def cmd_lemma1_grid(args) -> int:
     # the grid steps divide by both counts as floats
     asymptotics._float_of("--r-count", args.r_count)
     asymptotics._float_of("--theta-count", args.theta_count)
-    rows = []
-    all_hold = True
-    for i in range(args.r_count):
-        r = args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)
-        for j in range(args.theta_count):
-            theta = -math.pi + 2.0 * math.pi * (j + 1) / args.theta_count
-            lhs, rhs = asymptotics.lemma1_bound_check(r, theta)
-            ok = lhs <= rhs + 1e-12
-            all_hold = all_hold and ok
-            rows.append([f"{r:.6f}", f"{theta:.6f}", repr(lhs), repr(rhs), int(ok)])
+
+    def radius(i: int) -> float:
+        return args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)
+
+    # the truncation grows with r, so the two ends refuse any grid that would
+    # fail part way, before a row is written
+    for i in (0, args.r_count - 1):
+        asymptotics._lemma1_terms(radius(i))
+
+    def points():
+        for r in map(radius, range(args.r_count)):
+            for j in range(args.theta_count):
+                theta = -math.pi + 2.0 * math.pi * (j + 1) / args.theta_count
+                lhs, rhs = asymptotics.lemma1_bound_check(r, theta)
+                yield r, theta, lhs, rhs, lhs <= rhs + 1e-12
+
+    # points are tallied or written as they are computed, never held
     if args.format == "json":
-        _emit_json({"op": "lemma1-grid", "points": len(rows), "all_hold": all_hold})
+        holds = Counter(ok for *_, ok in points())
+        _emit_json({"op": "lemma1-grid", "points": holds.total(), "all_hold": not holds[False]})
     else:
-        _emit_csv(["r", "theta", "log_lhs", "log_rhs", "holds"], rows)
+        _emit_csv(["r", "theta", "log_lhs", "log_rhs", "holds"],
+                  ([f"{r:.6f}", f"{theta:.6f}", repr(lhs), repr(rhs), int(ok)]
+                   for r, theta, lhs, rhs, ok in points()))
     return 0
 
 
@@ -190,7 +193,7 @@ def cmd_sample(args) -> int:
     if args.method == "exact":
         # --count 0 builds no table; exact draws stream out one at a time
         if args.count:
-            draw = sampling.make_sampler(args.n, stream, _load_table(args.n))
+            draw = sampling.make_sampler(args.n, stream)
             for _ in range(args.count):
                 sys.stdout.write(json.dumps(draw()) + "\n")
         return 0
@@ -242,10 +245,7 @@ def cmd_wilf(args) -> int:
         payload.update({"mode": "exact", "graphical": str(graphical), "total": str(total),
                         "estimate": experiments._exact_estimate(graphical / total, total)._asdict()})
     else:
-        experiments._require_even(args.n)
-        experiments._require_mc_args(args.n, args.samples)
-        table = _load_table(args.n)
-        est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args), table)
+        est = experiments.wilf_fraction_mc(args.n, args.samples, _stream(args))
         payload.update({"mode": "monte-carlo", "estimate": est._asdict()})
     _emit_json(payload)
     _log(f"wilf n={args.n} done in {time.perf_counter() - t0:.1f}s")
@@ -261,9 +261,7 @@ def cmd_macdonald(args) -> int:
         result = experiments.macdonald_comparable_exact(args.n)
         payload["mode"] = "exact"
     else:
-        experiments._require_mc_args(args.n, args.samples)
-        table = _load_table(args.n)
-        result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args), table)
+        result = experiments.macdonald_comparable_mc(args.n, args.samples, _stream(args))
         payload.update({"mode": "monte-carlo", "self_dual": result.self_dual._asdict()})
     # "estimate" stays the one-sided P(lam dominates mu) for existing JSON readers
     payload.update({"estimate": result.dominates._asdict(),
@@ -305,12 +303,8 @@ def cmd_chernoff(args) -> int:
 def cmd_tv(args) -> int:
     from . import experiments
 
-    _require_at_least("n", args.n, 2)
     if args.mc:
-        experiments._require_mc_args(args.n, args.samples, args.k)
-        # the table is passed as its only reference, so tv_distance_mc can free it
-        result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args),
-                                            _load_table(args.n))
+        result = experiments.tv_distance_mc(args.n, args.k, args.samples, _stream(args))
         _emit_json({"op": "tv", "mode": "monte-carlo", "n": args.n, "k": args.k,
                     "estimate": result.estimate._asdict(), "cells": result.cells,
                     "clip": result.clip})

@@ -8,8 +8,9 @@ records.
 
 Every exact-law Monte Carlo experiment reads its partitions from `_draws`,
 the module's one stream of exact uniform draws, and tallies its events over
-that stream with `sum` or a `Counter`.  Every surrogate experiment draws its
-sample in the chunks that `_surrogate_chunks` plans.
+that stream with `sum` or a `Counter`.  The sampler behind `_draws` gets its
+own count table, so no experiment takes or holds one.  Every surrogate
+experiment draws its sample in the chunks that `_surrogate_chunks` plans.
 
 numpy is imported only inside the functions that use it, so the exact and
 pure-Python experiments start without it.  Likewise the command line imports
@@ -23,9 +24,10 @@ from collections import Counter
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .asymptotics import C, _float_of, hardy_ramanujan_log
-from .counting import RestrictedCountTable, count_partitions, count_restricted
+from .counting import count_partitions, count_restricted
 from .partitions import _conjugate, _dominates, _nash_williams, partitions
-from .sampling import RngStream, exponential_sums, make_sampler, surrogate_batch
+from .sampling import (SURROGATE_CHUNK_VALUES, RngStream, _require_surrogate_args,
+                       exponential_sums, make_sampler, surrogate_batch)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,18 +67,6 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def _require_mc_args(n: int, samples: int, k: int = 1) -> None:
-    """Reject the arguments of a Monte Carlo experiment before any table is
-    built or any output written; the CLI calls it first too."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError(f"k must be at most n={n}, got {k}")
-    _require_samples(samples)
-
-
 def _require_even(n: int) -> None:
     if n % 2:
         raise ValueError("n must be even")
@@ -98,10 +88,10 @@ def _require_stream(rng) -> RngStream:
     return rng
 
 
-def _draws(n: int, count: int, rng: RngStream, table: RestrictedCountTable):
+def _draws(n: int, count: int, rng: RngStream):
     """Iterator over `count` exact uniform partitions of n, drawn in turn
-    from rng's stream."""
-    draw = make_sampler(n, _require_stream(rng), table)
+    from rng's stream; its count table is freed with the iterator."""
+    draw = make_sampler(n, _require_stream(rng))
     return (draw() for _ in range(count))
 
 
@@ -118,11 +108,12 @@ def wilf_graphical_counts(n: int) -> tuple[int, int]:
     return tally[True], tally.total()
 
 
-def wilf_fraction_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> Estimate:
+def wilf_fraction_mc(n: int, samples: int, rng) -> Estimate:
     """Monte Carlo fraction of graphical partitions via the exact sampler."""
     _require_even(n)
-    _require_mc_args(n, samples)
-    hits = sum(map(_nash_williams, _draws(n, samples, rng, table)))
+    _require_surrogate_args(n, 1)
+    _require_samples(samples)
+    hits = sum(map(_nash_williams, _draws(n, samples, rng)))
     return _bernoulli_estimate(hits, samples, rng)
 
 
@@ -171,12 +162,13 @@ def macdonald_comparable_exact(n: int) -> Macdonald:
     )
 
 
-def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTable) -> Macdonald:
+def macdonald_comparable_mc(n: int, samples: int, rng) -> Macdonald:
     """Monte Carlo P(lam dominates mu) and P(comparable) over independent
     pairs, plus P(conjugate of lam dominates lam) for a single draw."""
-    _require_mc_args(n, samples)
+    _require_surrogate_args(n, 1)
+    _require_samples(samples)
     # each pair takes two consecutive draws of one stream: lam, then mu
-    draws = _draws(n, 2 * samples, rng, table)
+    draws = _draws(n, 2 * samples, rng)
     dominating = comparable = self_dual = 0
     for lam, mu in zip(draws, draws):
         forward = _dominates(lam, mu)
@@ -192,15 +184,10 @@ def macdonald_comparable_mc(n: int, samples: int, rng, table: RestrictedCountTab
 
 # Surrogate product event and the Chernoff-type bounds of its analysis.
 
-# A surrogate chunk holds at most this many values in each of its (rows, k)
-# arrays, so each takes at most 1 MB whatever the sample count, for k up to
-# 2^17; a larger k gets one row of k values.
-_SURROGATE_CHUNK_VALUES = 1 << 17
-
-
 def _surrogate_chunks(samples: int, k: int) -> list[int]:
-    """Row counts of the chunks that together draw `samples` rows of k values."""
-    rows = max(1, _SURROGATE_CHUNK_VALUES // k)
+    """Row counts of the chunks that together draw `samples` rows of k values,
+    each (rows, k) array at most SURROGATE_CHUNK_VALUES values (1 MB)."""
+    rows = SURROGATE_CHUNK_VALUES // k
     return [min(rows, samples - done) for done in range(0, samples, rows)]
 
 
@@ -227,7 +214,8 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
     if not ks:
         raise ValueError("ks must name at least one k")
     for k in (ks[0], ks[-1]):
-        _require_mc_args(n, samples, k)
+        _require_surrogate_args(n, k)
+    _require_samples(samples)
     rng = _require_stream(rng)
     gen = rng.generator()
     kmax = ks[-1]
@@ -465,8 +453,7 @@ class TvMc(NamedTuple):
     clip: int
 
 
-def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTable,
-                   compare_with: str = "surrogate") -> TvMc:
+def tv_distance_mc(n: int, k: int, samples: int, rng) -> TvMc:
     """Plug-in TV lower bound between empirical joint laws of the k largest
     parts and k largest dual parts, sampled exactly and from the surrogate.
 
@@ -474,39 +461,30 @@ def tv_distance_mc(n: int, k: int, samples: int, rng, table: RestrictedCountTabl
     clip = ceil(3 sqrt(n)/c log n) and n >= 2 so that clip >= 1; coarsening
     can only lower the estimate, so the reported value is a lower bound on
     the true distance.  stderr is the conservative null scale
-    sqrt(cells / (2 samples)) / sqrt(2).  compare_with="self" replaces the
-    surrogate with a second independent exact stream, a null check whose
-    distance should sit at the noise floor.
+    sqrt(cells / (2 samples)) / sqrt(2).
 
-    Against the surrogate the table is dropped once the exact cells are
-    tallied, before numpy loads, so a caller that hands over its only
-    reference never holds the table and numpy at once.
+    The exact draws' count table is freed once their cells are tallied,
+    before numpy loads for the surrogate, so the call never holds both.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    _require_mc_args(n, samples, k)
+    _require_surrogate_args(n, k)
+    _require_samples(samples)
     clip = int(math.ceil(3.0 * math.sqrt(n) / C * math.log(n)))
-    if compare_with not in ("surrogate", "self"):
-        raise ValueError("compare_with must be 'surrogate' or 'self'")
 
     def cell(parts: tuple[int, ...]) -> tuple[int, ...]:
         head = tuple(min(p, clip) for p in parts[:k]) + (0,) * max(0, k - len(parts))
         return head + tuple(min(q, clip) for q in _conjugate(parts, k))
 
-    counts_true = Counter(map(cell, _draws(n, samples, rng, table)))
-    model = rng.split(rng.stream_id + 1)
-    if compare_with == "self":
-        counts_model = Counter(map(cell, _draws(n, samples, model, table)))
-    else:
-        del table
-        import numpy as np
+    counts_true = Counter(map(cell, _draws(n, samples, rng)))
+    import numpy as np
 
-        counts_model = Counter()
-        gen = model.generator()
-        for m in _surrogate_chunks(samples, k):
-            _, _, heights, widths = surrogate_batch(n, k, gen, m)
-            cells = np.clip(np.hstack((heights, widths)), 0, clip)
-            counts_model.update(map(tuple, cells.tolist()))
+    counts_model = Counter()
+    gen = rng.split(rng.stream_id + 1).generator()
+    for m in _surrogate_chunks(samples, k):
+        _, _, heights, widths = surrogate_batch(n, k, gen, m)
+        cells = np.clip(np.hstack((heights, widths)), 0, clip)
+        counts_model.update(map(tuple, cells.tolist()))
 
     keys = counts_true.keys() | counts_model.keys()
     tv = 0.5 * sum(abs(counts_true[key] - counts_model[key]) for key in keys) / samples

@@ -8,7 +8,8 @@ walks the by-largest-part count rows (Nijenhuis and Wilf, Combinatorial
 Algorithms, ch. 10).  The map is a bijection, so each draw costs one
 big-integer uniform and is exactly uniform with no rejection beyond that of
 the uniform itself.  `make_sampler` is the one entry point for exact draws; it
-takes an `RngStream`.
+takes n and an `RngStream` and gets its own table from `counting`, so no
+caller ever holds one.
 
 Boltzmann draws come from `sample_boltzmann_batch`, whose memory does not grow
 with n squared.  It draws the multiplicities of the parts 2..jmax as
@@ -88,10 +89,17 @@ def draw_uniform_parts(n: int, table: RestrictedCountTable, source: random.Rando
     return table.unrank(n, source.randrange(table.entry(n, n)))
 
 
-def make_sampler(n: int, rng: RngStream, table: RestrictedCountTable):
-    """Zero-argument callable yielding raw part tuples, for tight MC loops."""
-    if table.n_max < n:
-        raise ValueError(f"table too small: n_max={table.n_max} < n={n}")
+def make_sampler(n: int, rng: RngStream):
+    """Zero-argument callable yielding exact uniform partitions of n as raw
+    part tuples, for tight MC loops.
+
+    Its count table comes from `counting.load_or_build`, looked up when called,
+    and only the callable holds it.  n past `counting.TABLE_N_MAX` raises
+    ValueError before anything is built.
+    """
+    from . import counting
+
+    table = counting.load_or_build(n)
     source = rng.source()
 
     def draw() -> tuple[int, ...]:
@@ -266,15 +274,24 @@ def exponential_sums(gen: np.random.Generator, count: int,
     return _partial_sums(gen, count, k), _partial_sums(gen, count, k)
 
 
+# A surrogate chunk holds at most this many values in each of its (rows, k)
+# arrays, 1 MB of float64, so a row of k values fits one only for k up to it.
+SURROGATE_CHUNK_VALUES = 1 << 17
+
+
 def _require_surrogate_args(n: int, k: int) -> None:
-    """Reject a surrogate (n, k) before anything is drawn or written; the
-    slant needs sqrt(n) as a float."""
+    """Reject the (n, k) of a surrogate or Monte Carlo call before anything is
+    built, drawn or written; the exact-draw experiments pass k = 1.  The slant
+    needs sqrt(n) as a float, and one row of k values must fit a 1 MB chunk."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > n:
         raise ValueError(f"k must be at most n={n}, got {k}")
+    if k > SURROGATE_CHUNK_VALUES:
+        raise ValueError(f"k={k} is above {SURROGATE_CHUNK_VALUES}, the most values "
+                         f"one 1 MB surrogate chunk row holds")
     _float_of("n", n)
 
 

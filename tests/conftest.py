@@ -20,6 +20,15 @@ def no_cache_dir(monkeypatch, tmp_path_factory):
     return home
 
 
+@pytest.fixture
+def no_table_build(monkeypatch):
+    """Make every count-table build fail the test that asked for none."""
+    def build(cls, n_max):
+        raise AssertionError(f"table built for n_max={n_max}")
+
+    monkeypatch.setattr(RestrictedCountTable, "build", classmethod(build))
+
+
 def _cache_file(n_max: int, payload: bytes, version: int = RestrictedCountTable._VERSION,
                 mode_code: int = 1) -> bytes:
     header = RestrictedCountTable._HEADER.pack(RestrictedCountTable._MAGIC, version, mode_code,

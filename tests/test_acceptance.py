@@ -23,7 +23,6 @@ from young.asymptotics import (
     slant_bounds,
 )
 from young.counting import (
-    RestrictedCountTable,
     coeff_from_product,
     count_partitions,
     count_restricted,
@@ -55,11 +54,6 @@ from young.sampling import (
 )
 
 SEED = 2024
-
-
-@pytest.fixture(scope="module")
-def table910():
-    return RestrictedCountTable.build(910)
 
 
 def test_criterion_01_counting_oracles():
@@ -131,9 +125,9 @@ def test_criterion_04_wilf_exact_n2():
 
 
 @pytest.mark.parametrize("n,target", [(220, 0.3503), (910, 0.3264)])
-def test_criterion_04_wilf_mc(n, target, table910):
+def test_criterion_04_wilf_mc(n, target):
     t0 = time.perf_counter()
-    est = wilf_fraction_mc(n, 1_000_000, RngStream(SEED, 0), table910)
+    est = wilf_fraction_mc(n, 1_000_000, RngStream(SEED, 0))
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
     assert abs(est.value - target) <= 3.0 * est.stderr, (
@@ -225,11 +219,11 @@ def test_criterion_08_tv_ceiling_at_1e4(tv_values):
           f"< tv(2500)/sqrt(2) = {ceiling:.5f})")
 
 
-def test_criterion_09_sampler_uniformity(table910, monkeypatch):
+def test_criterion_09_sampler_uniformity(monkeypatch):
     n, draws = 8, 200_000
     cells = count_partitions(n)
 
-    draw = make_sampler(n, RngStream(SEED, 1), table910)
+    draw = make_sampler(n, RngStream(SEED, 1))
     exact_counts = Counter(draw() for _ in range(draws))
     assert len(exact_counts) == cells
     _, p_exact = stats.chisquare(list(exact_counts.values()))
@@ -243,7 +237,7 @@ def test_criterion_09_sampler_uniformity(table910, monkeypatch):
     assert p_boltz > 0.001, p_boltz
 
     n2, draws2 = 10, 100_000
-    draw2 = make_sampler(n2, RngStream(SEED, 3), table910)
+    draw2 = make_sampler(n2, RngStream(SEED, 3))
     sample_a = Counter(draw2() for _ in range(draws2))
     accepted2, _ = sample_boltzmann_batch(n2, RngStream(SEED, 4).generator(), draws2)
     sample_b = Counter(accepted2)
@@ -300,11 +294,11 @@ def test_criterion_10_surrogate_closed_forms():
           f"(P1 {est.value:.4f}, tie count {counts.mean():.4f} vs {closed:.4f})")
 
 
-def test_criterion_11_macdonald(table910):
+def test_criterion_11_macdonald():
     assert macdonald_comparable_exact(2).dominates.value == 0.75
     for n in (2, 6, 10):
         exact = macdonald_comparable_exact(n)
-        mc = macdonald_comparable_mc(n, 100_000, RngStream(SEED, 12 + n), table910)
+        mc = macdonald_comparable_mc(n, 100_000, RngStream(SEED, 12 + n))
         gap = abs(mc.dominates.value - exact.dominates.value)
         assert gap <= 3.0 * mc.dominates.stderr, (n, exact.dominates.value, mc.dominates.value)
     print("ACCEPTANCE 11 dominance comparability exact/MC: PASS (n in {2, 6, 10})")

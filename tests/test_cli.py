@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -120,6 +121,21 @@ def test_lemma1_grid_holds_at_its_equality_case(capsys):
     assert code == 0
     (payload,) = check_json_lines(out)
     assert payload == {"op": "lemma1-grid", "points": 4, "all_hold": True}
+
+
+def test_lemma1_grid_json_holds_no_rows(capsys):
+    # 8000 cheap points (r <= 0.3 needs at most 31 terms); a grid that kept
+    # every row peaked at 3 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "lemma1-grid", "--r-min", "0.05", "--r-max", "0.3",
+                                 "--r-count", "200", "--theta-count", "40", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert json.loads(out) == {"op": "lemma1-grid", "points": 8000, "all_hold": True}
+    assert peak < 1 << 20, peak
 
 
 def test_count_restricted_logs_its_plan(capsys):
@@ -462,6 +478,9 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
      f"n={10**30} too large for Boltzmann draws"),
     (("asymptotic", "--kind", "restricted", "--n", "100", "--h", "1", "--w", "nan"),
      "w must be positive and finite"),
+    # k past one 1 MB surrogate chunk row, refused before numpy sizes an array
+    (("pk", "--n", str(10**16), "--k", str(10**15), "--samples", "1"), f"k={10**15} "),
+    (("sample-surrogate", "--n", str(10**30), "--k", str(10**20)), f"k={10**20} "),
 ], ids=["wilf-samples-0", "wilf-samples-negative", "macdonald-samples-0", "pk-samples-0",
         "chernoff-d-samples-0", "chernoff-beta-samples-0", "tv-mc-samples-0", "tv-mc-k-0",
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
@@ -475,7 +494,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "tv-n-huge", "rousseau-ali-k-huge", "chernoff-beta-j-huge", "chernoff-d-j-huge",
         "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge",
         "sample-surrogate-n-huge", "sample-surrogate-k-above-n", "lemma1-grid-r-count-huge",
-        "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge", "asymptotic-restricted-w-nan"])
+        "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge", "asymptotic-restricted-w-nan",
+        "pk-k-huge", "sample-surrogate-k-huge"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
@@ -518,16 +538,11 @@ def test_count_tables_are_cached_only_under_young_cache_dir(capsys, tmp_path, mo
     assert not list(no_cache_dir.rglob("*")) and not list(work.rglob("*"))
 
 
-def test_sample_count_0_builds_no_table(capsys, monkeypatch):
-    def build(cls, n_max):
-        raise AssertionError(f"table built for n_max={n_max}")
-
-    monkeypatch.setattr(RestrictedCountTable, "build", classmethod(build))
+def test_sample_count_0_builds_no_table(capsys, no_table_build):
     code, out, err = run_cli(capsys, "sample", "--n", "50", "--count", "0")
     assert code == 0, err
     (header,) = check_json_lines(out)
     assert header["count"] == 0
-    assert "table n_max=" not in err
 
 
 def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damaged_cache):
@@ -556,12 +571,12 @@ def test_damaged_cache_file_is_rebuilt(capsys, tmp_path, monkeypatch, damaged_ca
     ("wilf", "--n", "0", "--samples", "10"),
     ("macdonald", "--n", "0", "--samples", "10"),
 ], ids=["wilf", "macdonald", "tv-mc", "tv-mc-k-0", "wilf-odd-n", "wilf-n-0", "macdonald-n-0"])
-def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, monkeypatch, argv):
+def test_samples_0_is_rejected_before_the_table_is_built(capsys, tmp_path, monkeypatch, argv,
+                                                        no_table_build):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "table n_max=" not in err
     assert not list(tmp_path.glob("*.ypt"))
 
 

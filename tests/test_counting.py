@@ -363,3 +363,12 @@ def test_only_counting_reads_the_table_layout():
     readers = sorted(path.name for path in src.glob("*.py") if path.name != "counting.py"
                      and re.search(r"\._(rows|totals|cum2?)\b", path.read_text()))
     assert readers == []
+
+
+def test_only_counting_and_sampling_name_the_table():
+    # exact draws get their count table inside `make_sampler`, so no other
+    # module builds, loads or passes one
+    src = Path(young.__file__).parent
+    namers = sorted(path.name for path in src.glob("*.py")
+                    if re.search(r"\b(RestrictedCountTable|load_or_build)\b", path.read_text()))
+    assert namers == ["counting.py", "sampling.py"]

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -30,11 +29,6 @@ from young.partitions import partitions
 from young.sampling import RngStream
 
 
-@pytest.fixture(scope="module")
-def table60():
-    return RestrictedCountTable.build(60)
-
-
 def test_estimate_invariant():
     Estimate(0.5, 0.0, 10, 0, 0, "exact-enumeration")
     Estimate(0.5, 0.01, 10, 0, 0, "monte-carlo")
@@ -55,28 +49,27 @@ def test_wilf_exact_small_values():
         wilf_graphical_counts(82)
 
 
-def test_wilf_exact_mc_agreement(table60):
+def test_wilf_exact_mc_agreement():
     graphical, total = wilf_graphical_counts(30)
-    mc = wilf_fraction_mc(30, 20_000, RngStream(21), table60)
+    mc = wilf_fraction_mc(30, 20_000, RngStream(21))
     assert abs(mc.value - graphical / total) <= 3.0 * mc.stderr
     assert mc.seed == 21 and mc.method == "monte-carlo"
 
 
-def test_wilf_mc_n2_converges(table60):
-    est = wilf_fraction_mc(2, 10_000, RngStream(22), table60)
+def test_wilf_mc_n2_converges():
+    est = wilf_fraction_mc(2, 10_000, RngStream(22))
     assert est.value == pytest.approx(0.5, abs=3 * est.stderr)
 
 
 @pytest.mark.parametrize("experiment", [
     wilf_fraction_mc,
     macdonald_comparable_mc,
-    pytest.param(lambda n, samples, rng, table: tv_distance_mc(n, 1, samples, rng, table),
+    pytest.param(lambda n, samples, rng: tv_distance_mc(n, 1, samples, rng),
                  id="tv_distance_mc"),
 ])
-def test_mc_experiments_check_samples_before_the_table(experiment):
-    # the table is too small for n; the sample count is rejected first
+def test_mc_experiments_check_samples_before_the_table(experiment, no_table_build):
     with pytest.raises(ValueError, match="samples"):
-        experiment(10, 0, RngStream(1), RestrictedCountTable.build(4))
+        experiment(10, 0, RngStream(1))
 
 
 def test_macdonald_exact_values():
@@ -117,23 +110,23 @@ def test_macdonald_two_sided_matches_brute_force():
         direct / len(plist) ** 2)
 
 
-def test_macdonald_mc_agreement(table60):
+def test_macdonald_mc_agreement():
     exact = macdonald_comparable_exact(6)
-    result = macdonald_comparable_mc(6, 20_000, RngStream(24), table60)
+    result = macdonald_comparable_mc(6, 20_000, RngStream(24))
     assert abs(result.dominates.value - exact.dominates.value) <= 3.0 * result.dominates.stderr
     assert 0.0 <= result.self_dual.value <= 1.0
 
 
 @pytest.mark.parametrize("n", [2, 6, 10])
-def test_macdonald_two_sided_mc_agreement(table60, n):
+def test_macdonald_two_sided_mc_agreement(n):
     exact = macdonald_comparable_exact(n).comparable
-    result = macdonald_comparable_mc(n, 20_000, RngStream(28, n), table60)
+    result = macdonald_comparable_mc(n, 20_000, RngStream(28, n))
     assert abs(result.comparable.value - exact.value) <= 3.0 * result.comparable.stderr
     assert result.comparable.value >= result.dominates.value
 
 
-def test_macdonald_both_probabilities_drop_below_half(table60):
-    result = macdonald_comparable_mc(40, 20_000, RngStream(25), table60)
+def test_macdonald_both_probabilities_drop_below_half():
+    result = macdonald_comparable_mc(40, 20_000, RngStream(25))
     assert result.dominates.value < 0.5
     assert result.self_dual.value < 0.5
 
@@ -312,37 +305,30 @@ def test_tv_k1_rejects_overflowing_n():
         tv_distance_k1(10**6)
 
 
-def test_tv_mc_self_distance(table60):
-    result = tv_distance_mc(12, 2, 40_000, RngStream(31), table60, compare_with="self")
-    assert result.estimate.value <= 3.0 * result.estimate.stderr
-
-
 def test_tv_mc_matches_exact_at_k1():
-    table = RestrictedCountTable.build(400)
     exact = tv_distance_k1(400).tv
-    result = tv_distance_mc(400, 1, 200_000, RngStream(32), table)
+    result = tv_distance_mc(400, 1, 200_000, RngStream(32))
     assert abs(result.estimate.value - exact) <= 3.0 * result.estimate.stderr
     assert result.cells > 10
     assert result.clip > 0
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before 3.11 a caller keeps its call arguments alive")
 def test_tv_mc_frees_the_table_before_the_surrogate(monkeypatch):
     refs = []
     freed = []
 
-    def table():
-        built = RestrictedCountTable.build(60)
+    def build(cls, n_max):
+        built = real_build(n_max)
         refs.append(weakref.ref(built))
         return built
 
     def surrogate_batch(*args):
         freed.append(refs[0]() is None)
-        return real(*args)
+        return real_batch(*args)
 
-    real = experiments.surrogate_batch
+    real_build = RestrictedCountTable.build
+    real_batch = experiments.surrogate_batch
+    monkeypatch.setattr(RestrictedCountTable, "build", classmethod(build))
     monkeypatch.setattr(experiments, "surrogate_batch", surrogate_batch)
-    # the call holds the only reference to the table
-    tv_distance_mc(60, 2, 500, RngStream(34), table())
+    tv_distance_mc(60, 2, 500, RngStream(34))
     assert freed == [True]
