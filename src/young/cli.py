@@ -125,6 +125,11 @@ def cmd_freiman_sweep(args) -> int:
     return 0
 
 
+# the most Euler-product terms one lemma1-grid call sums, about 40 s at 0.37 us
+# a term (2-core x86 VM); the default grid sums at most 17.5 million
+LEMMA1_GRID_MAX_TERMS = 10 * asymptotics.EULER_MAX_TERMS
+
+
 def cmd_lemma1_grid(args) -> int:
     _require_at_least("--r-count", args.r_count, 2)
     _require_at_least("--theta-count", args.theta_count, 1)
@@ -136,9 +141,11 @@ def cmd_lemma1_grid(args) -> int:
         return args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)
 
     # the truncation grows with r, so the two ends refuse any grid that would
-    # fail part way, before a row is written
-    for i in (0, args.r_count - 1):
-        asymptotics._lemma1_terms(radius(i))
+    # fail part way, or run past its budget, before a row is written
+    terms = max(asymptotics._lemma1_terms(radius(i)) for i in (0, args.r_count - 1))
+    if args.r_count * args.theta_count * terms > LEMMA1_GRID_MAX_TERMS:
+        raise ValueError(f"--r-count x --theta-count = {args.r_count * args.theta_count} points "
+                         f"x {terms} terms passes the budget of {LEMMA1_GRID_MAX_TERMS} terms")
 
     def points():
         for r in map(radius, range(args.r_count)):
@@ -200,18 +207,16 @@ def cmd_sample(args) -> int:
     # Boltzmann draws go out in blocks from one generator, so memory does not
     # grow with --count
     gen = stream.generator()
-    total = sampling.BoltzmannStats(attempts=0, accepted=0)
+    attempts = 0
     for start in range(0, args.count, BOLTZMANN_BLOCK):
         draws, stats = sampling.sample_boltzmann_batch(
             args.n, gen, min(BOLTZMANN_BLOCK, args.count - start))
-        total = sampling.BoltzmannStats(total.attempts + stats.attempts,
-                                        total.accepted + stats.accepted)
+        attempts += stats.attempts
         for parts in draws:
             sys.stdout.write(json.dumps(parts) + "\n")
         del draws  # free this block before the next one is drawn
-    _log(f"acceptance rate {total.acceptance_rate:.3g} "
-         f"(expected {expected_rate:.3g}) "
-         f"over {total.attempts} attempts")
+    rate = sampling.BoltzmannStats(attempts, args.count).acceptance_rate
+    _log(f"acceptance rate {rate:.3g} (expected {expected_rate:.3g}) over {attempts} attempts")
     return 0
 
 

@@ -12,17 +12,11 @@ takes n and an `RngStream` and gets its own table from `counting`, so no
 caller ever holds one.
 
 Boltzmann draws come from `sample_boltzmann_batch`, whose memory does not grow
-with n squared.  It draws the multiplicities of the parts 2..jmax as
-independent geometrics at q = e^{-c/sqrt n} and decides the 1s last: with
-R = n minus the weight drawn, an attempt with R >= 0 is accepted with
-probability q^R and completed by R ones.  Every partition of n with largest
-part at most jmax is then accepted with the same probability
-q^n prod_{2<=j<=jmax} (1 - q^j), so the law is uniform over those partitions,
-and an attempt succeeds with probability about n^{-1/4} (Arratia and DeSalvo,
-Combin. Probab. Comput. 25, 2016).  jmax = n for every n <= 1871, so there
-the law is exactly uniform; `sample_boltzmann_batch` says what is lost above.
-Its stats carry the acceptance rate; `boltzmann_expected_rate` gives the
-expected one.
+with n squared: a Poisson process of about c sqrt(n) points, each adding k
+parts of size j >= 2, with the 1s decided last (Arratia and DeSalvo, Combin.
+Probab. Comput. 25, 2016).  The law is uniform over every partition of n up
+to a cut of the k table finer than a double resolves; an attempt succeeds
+with probability about n^{-1/4}, which `boltzmann_expected_rate` gives.
 
 All randomness flows through named (seed, stream_id) streams so that any
 sample sequence replays byte-identically and distinct streams can run in
@@ -108,8 +102,8 @@ def make_sampler(n: int, rng: RngStream):
     return draw
 
 
-# Boltzmann sampling by probabilistic divide-and-conquer: independent geometric
-# multiplicities of the parts 2..jmax at q = e^{-c/sqrt n}, then the 1s last.
+# Boltzmann sampling by probabilistic divide-and-conquer: a Poisson process of
+# points (j, k), each adding k parts of size j >= 2, then the 1s last.
 
 class BoltzmannStats(NamedTuple):
     attempts: int
@@ -123,98 +117,98 @@ class BoltzmannStats(NamedTuple):
 # a batch that has made this many attempts without completing raises
 BOLTZMANN_MAX_ATTEMPTS = 2_000_000_000
 
-# one chunk's multiplicity matrix holds at most this many rows (attempts) and
-# this many int64 entries (32 MiB)
-BOLTZMANN_CHUNK_ROWS = 2048
-BOLTZMANN_CHUNK_ENTRIES = 2**22
+# a chunk's rows expect at most this many points, held in three int64 arrays
+# (24 MiB); the k table may hold no more entries
+BOLTZMANN_CHUNK_POINTS = 2**20
 
 
 def _boltzmann_setup(n: int):
-    """(q, part sizes 2..jmax, their success probabilities 1 - q^j, expected
-    acceptance rate) for draws of size n.
+    """(x = c/sqrt n, the k table 0, Lambda_1, Lambda_1 + Lambda_2, ..., the
+    expected acceptance rate) for draws of size n; Lambda_k = q^{2k} / (k (1 - q^k)).
 
-    One attempt draws jmax - 1 multiplicities, which must fit one chunk of
-    BOLTZMANN_CHUNK_ENTRIES; n above about 9.41e9 needs more and is refused.
+    The table stops at min(n // 2, K), 2xK >= max(53 log 2 + log x, 2).  Then
+    K + 1 > 1/x and q^K < 1/2, so the mass past K, at most
+    q^{2K} Lambda_1 / ((1+q)(K+1)(1-q^{K+1})), is below 2^-53 Lambda.  A table
+    past BOLTZMANN_CHUNK_POINTS, from n = 11,199,296,810 on, is refused.
     """
-    root = math.sqrt(_float_of("n", n))
-    q = math.exp(-C / root)
-    # parts with q^j below 2^-80 are dropped; their total probability is
-    # smaller than the rejection loop can ever observe.  Parts above n are
-    # dropped too: an accepted draw has none, so the accepted law is unchanged
-    jmax = min(int(80.0 * math.log(2.0) * root / C) + 1, n)
-    if jmax - 1 > BOLTZMANN_CHUNK_ENTRIES:
-        raise ValueError(f"n={n} too large for Boltzmann draws: one attempt needs {jmax - 1} "
-                         f"multiplicities, above the chunk limit {BOLTZMANN_CHUNK_ENTRIES}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    # log n takes any int, so an n past the float range meets the size check
+    x = C * math.exp(-0.5 * math.log(n))
+    size = min(n // 2, math.ceil(max(53.0 * math.log(2.0) + math.log(x), 2.0) / (2.0 * x)))
+    if size > BOLTZMANN_CHUNK_POINTS:
+        raise ValueError(f"n={n} too large for Boltzmann draws: its k table needs {size} "
+                         f"entries, above the chunk limit {BOLTZMANN_CHUNK_POINTS}")
     import numpy as np
 
-    j = np.arange(2, jmax + 1)
-    probs = -np.expm1(j * math.log(q))  # 1 - q^j, accurate near 0
-    # p(n) q^n prod (1 - q^j) in log space, p(n) at leading order
-    log_rate = hardy_ramanujan_log(n) + n * math.log(q) + float(np.log(probs).sum())
-    return q, j, probs, math.exp(log_rate)
+    k = np.arange(1.0, size + 1.0)
+    cum = np.zeros(size + 1)
+    cum[1:] = np.exp(-2.0 * x * k) / (k * -np.expm1(-x * k))
+    np.cumsum(cum, out=cum)
+    # p(n) q^n e^{-Lambda} in log space, p(n) at leading order
+    return x, cum, math.exp(hardy_ramanujan_log(n) - n * x - cum[-1])
 
 
 def boltzmann_expected_rate(n: int) -> float:
     """Expected acceptance rate of `sample_boltzmann_batch` at n.
 
-    The exact rate is p(n) q^n prod_{2<=j<=jmax} (1 - q^j); here p(n) is its
-    Hardy-Ramanujan leading term, which overstates it by 2.3% at n=400 and
-    0.4% at n=10^4, so no big integer is built at large n.
+    The exact rate is p(n) q^n e^{-Lambda}; here p(n) is its Hardy-Ramanujan
+    leading term, which overstates it by 2.3% at n=400 and 0.4% at n=10^4,
+    so no big integer is built at large n.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _boltzmann_setup(n)[3]
+    return _boltzmann_setup(n)[2]
 
 
 def sample_boltzmann_batch(n: int, gen: np.random.Generator, count: int):
     """Draw `count` uniform partitions of n; returns (list of part tuples, stats).
 
-    Probabilistic divide-and-conquer with the 1s decided last (Arratia and
-    DeSalvo, Combin. Probab. Comput. 25, 2016).  An attempt draws the
-    multiplicities Z_2..Z_jmax as independent geometrics, P(Z_j = k) =
-    (1 - q^j) q^{jk} with q = e^{-c/sqrt n}, and sets R = n - sum_j j Z_j.
-    When R >= 0 it is accepted with probability q^R and completed by R parts
-    equal to 1.  A partition is then accepted with probability
-    q^n prod_{2<=j<=jmax} (1 - q^j), the same for every partition whose
-    largest part is at most jmax, and an attempt is accepted with probability
-    p' q^n prod_{2<=j<=jmax} (1 - q^j), about n^{-1/4}, where p' <= p(n)
-    counts those partitions.
-
-    jmax = min(floor(80 log(2) sqrt(n) / c) + 1, n), the first part size with
-    q^j < 2^-80, capped at n.  For every n <= 1871 it is n, so the law is exactly
-    uniform over all partitions of n.  From n = 1872 on, partitions with a
-    part above jmax are never drawn: jmax is 1871 at n = 1872, 2162 at
-    n = 2500, 4324 at 10^4 and 13673 at 10^5.  Under the uniform law such
-    partitions have probability about (sqrt(n)/c) q^jmax < (sqrt(n)/c) 2^-80.
-
-    Each chunk of attempts is sized from that rate to the draws still
-    missing, capped by BOLTZMANN_CHUNK_ROWS rows and by
-    BOLTZMANN_CHUNK_ENTRIES entries.  n above about 9.41e9, where a single
-    attempt would pass the entry cap, is refused with a ValueError.
+    Probabilistic divide-and-conquer with the 1s decided last at q = e^{-x},
+    x = c/sqrt n.  The multiplicity of parts j >= 2, geometric with
+    P(Z_j >= m) = q^{jm}, is sum_k k Poisson(q^{jk}/k) (Arratia, Barbour and
+    Tavare, Logarithmic Combinatorial Structures, 2003), so an attempt is
+    Poisson(Lambda) points (j, k) adding k parts of size j: k from the k table
+    of `_boltzmann_setup`, j = 2 + floor(E / (kx)), E a unit exponential.  It
+    is accepted with probability q^R, R = n - sum j k >= 0, and completed by
+    R ones, so every partition of n is accepted with probability
+    q^n e^{-Lambda}: uniform over every partition of n up to the k-table cut.  Chunks
+    of attempts are sized from the expected rate to the draws still missing,
+    with at most BOLTZMANN_CHUNK_POINTS points expected.
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be positive")
-    q, weights, probs, rate = _boltzmann_setup(n)
-    max_rows = min(BOLTZMANN_CHUNK_ROWS, BOLTZMANN_CHUNK_ENTRIES // max(1, len(weights)))
+    x, cum, rate = _boltzmann_setup(n)
+    lam, q = cum[-1], math.exp(-x)
+    max_rows = BOLTZMANN_CHUNK_POINTS // math.ceil(lam + 1.0)
     out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < count:
         if attempts >= BOLTZMANN_MAX_ATTEMPTS:
             raise RuntimeError(f"no acceptance after {attempts} attempts")
         rows = min(max_rows, math.ceil((count - len(out)) / rate))
-        # geometric returns int64 already; decrement in place, with no copy
-        mult = gen.geometric(probs, size=(rows, len(weights)))
-        mult -= 1
-        ones = n - mult @ weights
+        ends = np.cumsum(gen.poisson(lam, rows))
+        e = gen.random(int(ends[-1]))
+        e *= lam
+        # the table starts at 0, so the index is k; its last entry is left
+        # out, so a uniform that rounds up to lam still picks the last k
+        k = np.searchsorted(cum[:-1], e, side="right")
+        gen.standard_exponential(out=e)
+        e /= k
+        e /= x
+        j = np.floor(e, out=e).astype(np.int64)
+        del e
+        j += 2
+        # weight[p] is the weight of the first p points
+        weight = np.zeros(len(j) + 1, dtype=np.int64)
+        np.multiply(j, k, out=weight[1:])
+        ones = n - np.diff(np.cumsum(weight, out=weight)[ends], prepend=0)
         keep = gen.random(rows) < q ** np.maximum(ones, 0)
         hits = np.nonzero(keep & (ones >= 0))[0][:count - len(out)]
         for row in hits:
-            m = mult[row]
-            sizes = np.nonzero(m)[0]
-            parts = np.repeat(sizes[::-1] + 2, m[sizes][::-1]).tolist()
+            span = slice(ends[row - 1] if row else 0, ends[row])
+            order = np.argsort(j[span])[::-1]
+            parts = np.repeat(j[span][order], k[span][order]).tolist()
             out.append(tuple(parts + [1] * int(ones[row])))
+        del j, k, weight  # before the next chunk's arrays are drawn
         # the rows after the one that completes the batch are not attempts
         attempts += rows if len(out) < count else int(hits[-1]) + 1
     return out, BoltzmannStats(attempts=attempts, accepted=len(out))

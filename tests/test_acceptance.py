@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from young import sampling
 from young.asymptotics import (
     BAND_CONSTANT,
     C,
@@ -219,7 +218,7 @@ def test_criterion_08_tv_ceiling_at_1e4(tv_values):
           f"< tv(2500)/sqrt(2) = {ceiling:.5f})")
 
 
-def test_criterion_09_sampler_uniformity(monkeypatch):
+def test_criterion_09_sampler_uniformity():
     n, draws = 8, 200_000
     cells = count_partitions(n)
 
@@ -229,7 +228,6 @@ def test_criterion_09_sampler_uniformity(monkeypatch):
     _, p_exact = stats.chisquare(list(exact_counts.values()))
     assert p_exact > 0.001, p_exact
 
-    monkeypatch.setattr(sampling, "BOLTZMANN_CHUNK_ROWS", 8192)
     accepted, _ = sample_boltzmann_batch(n, RngStream(SEED, 2).generator(), draws)
     boltzmann_counts = Counter(accepted)
     assert len(boltzmann_counts) == cells

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import young
-from young.cli import main
+from young.cli import LEMMA1_GRID_MAX_TERMS, main
 from young.counting import RestrictedCountTable
 from young.sampling import boltzmann_expected_rate
 
@@ -138,6 +138,20 @@ def test_lemma1_grid_json_holds_no_rows(capsys):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "1144")])
+def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
+    # at r = 0.999 a point sums 43728 terms: 2 x 1144 points pass the budget
+    # of 10^8 terms, and 10^9 points would run for about a day and a half
+    r_count, theta_count = counts
+    code, out, err = run_cli(capsys, "lemma1-grid", "--r-count", r_count,
+                             "--theta-count", theta_count, "--format", "json")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "--r-count" in line and "--theta-count" in line
+    assert "43728 terms" in line and str(LEMMA1_GRID_MAX_TERMS) in line
+
+
 def test_count_restricted_logs_its_plan(capsys):
     code, out, err = run_cli(capsys, "count-restricted", "--n", "150", "--r", "20", "--s", "30",
                              "--format", "json")
@@ -234,8 +248,8 @@ def test_sample_seeded_draws_are_pinned(capsys, tmp_path, monkeypatch):
 
 
 # stdout of `sample --method boltzmann --n 400 --count 20 --seed 5 --stream 3`,
-# recorded when the Boltzmann sampler began to decide the 1s last
-SAMPLE_BOLTZMANN_400_SHA256 = "cfbd22e25915973c4608f7774ae509e8664c88a6c1b6d5d0a3db1449a68ea1dc"
+# recorded when Boltzmann attempts became a Poisson process of multiplicities
+SAMPLE_BOLTZMANN_400_SHA256 = "13001c3b9f989b98e48b7605236751ad27256e27b4db36967d3ea23b70414d92"
 
 
 def test_sample_boltzmann_draws_are_pinned(capsys, tmp_path, monkeypatch):
@@ -476,6 +490,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("lemma1-grid", "--theta-count", str(10**400)), "--theta-count too large"),
     (("sample", "--method", "boltzmann", "--n", str(10**30), "--count", "1"),
      f"n={10**30} too large for Boltzmann draws"),
+    (("sample", "--method", "boltzmann", "--n", str(10**400), "--count", "1"),
+     f"n={10**400} too large for Boltzmann draws"),
     (("asymptotic", "--kind", "restricted", "--n", "100", "--h", "1", "--w", "nan"),
      "w must be positive and finite"),
     # k past one 1 MB surrogate chunk row, refused before numpy sizes an array
@@ -494,8 +510,9 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "tv-n-huge", "rousseau-ali-k-huge", "chernoff-beta-j-huge", "chernoff-d-j-huge",
         "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge",
         "sample-surrogate-n-huge", "sample-surrogate-k-above-n", "lemma1-grid-r-count-huge",
-        "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge", "asymptotic-restricted-w-nan",
-        "pk-k-huge", "sample-surrogate-k-huge"])
+        "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge",
+        "sample-boltzmann-n-past-float", "asymptotic-restricted-w-nan", "pk-k-huge",
+        "sample-surrogate-k-huge"])
 def test_out_of_range_counts_are_validation_errors(capsys, tmp_path, monkeypatch, argv, word):
     monkeypatch.setenv("YOUNG_CACHE_DIR", str(tmp_path))
     code, out, err = run_cli(capsys, *argv)

@@ -124,8 +124,7 @@ def test_boltzmann_basics(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [8, 12, 20])
-def test_boltzmann_uniform_chi_square(n, monkeypatch):
-    monkeypatch.setattr(sampling, "BOLTZMANN_CHUNK_ROWS", 8192)
+def test_boltzmann_uniform_chi_square(n):
     accepted, _ = sample_boltzmann_batch(n, RngStream(6).generator(), 50_000)
     counts = Counter(accepted)
     assert len(counts) == count_partitions(n)
@@ -133,11 +132,19 @@ def test_boltzmann_uniform_chi_square(n, monkeypatch):
     assert p_value > 0.001
 
 
+def _point_masses(n: int, ks) -> np.ndarray:
+    # Lambda_k = q^{2k} / (k (1 - q^k)), the expected number of points (j, k)
+    x = C / math.sqrt(n)
+    k = np.asarray(ks, dtype=float)
+    return np.exp(-2.0 * x * k) / (k * -np.expm1(-x * k))
+
+
 def _acceptance_closed_form(n: int) -> float:
-    # p(n) q^n prod_{2 <= j <= n} (1 - q^j), q = e^{-c/sqrt n}.  The sampler
-    # drops the parts above jmax, where q^j < 2^-80, which moves no digit
+    # p(n) q^n e^{-Lambda}, q = e^{-c/sqrt n}, Lambda summed over every
+    # k <= n/2.  The sampler's k table stops earlier, which moves no digit
     q = math.exp(-C / math.sqrt(n))
-    return count_partitions(n) * q**n * math.prod(1.0 - q**j for j in range(2, n + 1))
+    lam = math.fsum(_point_masses(n, range(1, n // 2 + 1)))
+    return count_partitions(n) * q**n * math.exp(-lam)
 
 
 @pytest.mark.parametrize("n", [1, 10, 400, 910])
@@ -165,39 +172,52 @@ def test_boltzmann_acceptance_power_law():
     assert abs(slope - expected) < 0.15, (slope, expected)
 
 
-def test_boltzmann_drops_part_sizes_only_from_n_1872():
-    # every part size 1..n can be drawn, so the law is exactly uniform, for
-    # each n <= 1871; from n = 1872 on the sizes above jmax are never drawn
-    for n in range(2, 1872):
-        assert sampling._boltzmann_setup(n)[1].tolist() == list(range(2, n + 1)), n
-    for n, jmax in [(1872, 1871), (2500, 2162), (10**4, 4324), (10**5, 13673)]:
-        assert sampling._boltzmann_setup(n)[1].tolist() == list(range(2, jmax + 1)), n
+def test_boltzmann_k_table_ends_at_its_cut():
+    # the table holds Lambda_1..Lambda_K cumulated, K = min(n // 2, cut), and
+    # the mass it drops up to n/2 is below 2^-53 Lambda; past n/2 a point
+    # always overshoots n
+    for n in [*range(1, 2001), 2500, 10**4, 10**5, 10**6]:
+        x, cum, _ = sampling._boltzmann_setup(n)
+        size = len(cum) - 1
+        masses = _point_masses(n, range(1, n // 2 + 1))
+        assert cum[0] == 0.0 and np.allclose(cum[1:], np.cumsum(masses[:size]), rtol=1e-12, atol=0)
+        if size < n // 2:
+            assert 2.0 * x * size >= max(53.0 * math.log(2.0) + math.log(x), 2.0), n
+            assert math.fsum(masses[size:]) < 2.0**-53 * math.fsum(masses), n
+    # about 12 sqrt(n) entries, never n/2
+    assert len(sampling._boltzmann_setup(10**6)[1]) - 1 == 11726
+
+
+def test_boltzmann_draws_reach_n_10_6():
+    draws, _ = sample_boltzmann_batch(10**6, RngStream(8).generator(), 5)
+    assert len(draws) == 5
+    assert all(sum(p) == 10**6 and list(p) == sorted(p, reverse=True) for p in draws)
 
 
 def test_boltzmann_chunk_memory_is_capped():
-    # at n = 2e6 a part-size row has 61144 entries and one draw needs about
-    # 150 attempts, a 74 MB matrix if the rows were not capped
+    # at n = 2e6 an attempt draws about 1800 points and 64 draws need about
+    # 9000 attempts, 16M points, held a chunk of 2^20 at a time
     n = 2_000_000
     tracemalloc.start()
     try:
-        (parts,), _ = sample_boltzmann_batch(n, RngStream(3).generator(), 1)
+        draws, _ = sample_boltzmann_batch(n, RngStream(3).generator(), 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(parts) == n
-    assert peak < 8 * sampling.BOLTZMANN_CHUNK_ENTRIES + 4e6, peak
+    assert len(draws) == 64 and all(sum(parts) == n for parts in draws)
+    assert peak < 37_554_432, peak  # 8 * 2^22 + 4e6
 
 
-def test_boltzmann_refuses_n_past_one_row_per_chunk():
-    # from n = 9411039912 on one attempt needs more than
-    # BOLTZMANN_CHUNK_ENTRIES multiplicities; such n is refused, naming it,
-    # before any array is made
-    for n, message in [(9_411_039_912, "n=9411039912 too large"),
-                       (2 * 10**10, "n=20000000000 too large"),
-                       (10**30, f"n={10**30} too large"), (10**400, "n too large")]:
-        with pytest.raises(ValueError, match=message):
+def test_boltzmann_refuses_n_past_a_chunk_of_k_table():
+    # from n = 11199296810 on the k table needs more than
+    # BOLTZMANN_CHUNK_POINTS entries; such n is refused, naming it, before
+    # any array is made, and so is an n past the float range
+    assert boltzmann_expected_rate(11_199_296_809) > 0.0
+    assert boltzmann_expected_rate(9_411_039_912) > 0.0
+    for n in [11_199_296_810, 2 * 10**10, 10**30, 10**400]:
+        with pytest.raises(ValueError, match=f"n={n} too large for Boltzmann draws"):
             boltzmann_expected_rate(n)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"n={n} too large for Boltzmann draws"):
             sample_boltzmann_batch(n, RngStream(3).generator(), 1)
 
 
