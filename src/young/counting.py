@@ -23,6 +23,7 @@ import os
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
+from math import isqrt
 from operator import add, getitem, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -232,6 +233,12 @@ def _require_table_fits(n_max: int) -> None:
         raise ValueError(f"n={n_max} is beyond the count-table limit n <= {TABLE_N_MAX}")
 
 
+def _e3(w: int) -> int:
+    """E3(w), the number of partitions of w >= 0 into parts <= 3: the integer
+    nearest (w + 3)^2 / 12."""
+    return ((w + 3) ** 2 + 6) // 12
+
+
 class RestrictedCountTable:
     """Immutable table of partition counts by largest part, buildable and cacheable.
 
@@ -301,6 +308,8 @@ class RestrictedCountTable:
     def entry(self, v: int, m: int) -> int:
         if v > self.n_max:
             raise ValueError("weight beyond table range")
+        if m >= v >= 0:
+            return self._totals[v]
         if v < 0 or m < 0:
             return 0
         if m <= v // 3:
@@ -309,6 +318,8 @@ class RestrictedCountTable:
 
     def row(self, v: int) -> list[int]:
         """Cumulative counts over the largest part for weight v: entry(v, m), m = 0..v."""
+        if not 0 <= v <= self.n_max:
+            raise ValueError("weight beyond table range")
         stored = self._rows[v]
         b = v // 3
         total = self._totals[v]
@@ -326,13 +337,27 @@ class RestrictedCountTable:
         with entry(v, m-1) <= rank < entry(v, m); the remainder
         rank - entry(v, m-1) is then a rank below the number of partitions of
         v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
+        A rank outside [0, p(n)), or n outside [0, n_max], raises ValueError.
 
-        Only the row up to m = v//3 is stored.  With x = p(v) - rank, a part
-        m > v/2 is found by one bisection of cum, since there
-        entry(v, m) = p(v) - cum[v - m]: the k with cum[k] < x <= cum[k+1]
+        Only the row up to m = v//3 is stored.  Where it covers the bound, the
+        part repeats when rank >= entry(v, bound - 1), is bound - 1 when
+        rank >= entry(v, bound - 2), and is found by bisection otherwise.  With
+        x = p(v) - rank, a part m > v/2 is found by one bisection of cum, since
+        there entry(v, m) = p(v) - cum[v - m]: the k with cum[k] < x <= cum[k+1]
         gives m = v - k and the new rank cum[k+1] - x.  The rarer part in
         (v/3, v/2] is found by bisecting the closed form over that range.
+
+        Once the part is at most 3 the rest is closed form.  The partitions of w
+        into parts <= 3 number E3(w) = ((w + 3)^2 + 6) // 12, and with
+        x = E3(v) - rank each 3 taken leaves x unchanged, so the threes stop at
+        the least w = v (mod 3) with E3(w) >= x: isqrt(12x - 7) - 2 raised to
+        v's residue.  Rank E3(w) - x among the partitions of w into parts <= 2
+        is that many twos, the rest ones.
         """
+        if not 0 <= n <= self.n_max:
+            raise ValueError("weight beyond table range")
+        if not 0 <= rank < self._totals[n]:
+            raise ValueError(f"rank must lie in [0, p({n})), got {rank}")
         parts = []
         v = n
         bound = n
@@ -340,8 +365,14 @@ class RestrictedCountTable:
         while v:
             row = rows[v]
             if 3 * bound <= v:
-                # a repeated part takes the top interval of the row
-                m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
+                # a repeated part takes the top interval of the row, the part
+                # one below it the interval under that
+                if rank >= row[bound - 1]:
+                    m = bound
+                elif rank >= row[bound - 2]:
+                    m = bound - 1
+                else:
+                    m = bisect_right(row, rank, 1, bound - 2)
             else:
                 a = v // 3
                 if rank < row[a]:
@@ -371,9 +402,13 @@ class RestrictedCountTable:
                     v -= m
                     bound = m
                     continue
-            if m == 1:
-                parts.extend([1] * v)
-                break
+            if m <= 3:
+                # rank < entry(v, m) <= E3(v), so x >= 1, 12x - 7 >= 5 and w >= 0
+                x = _e3(v) - rank
+                w = isqrt(12 * x - 7) - 2
+                w += (v - w) % 3
+                twos = _e3(w) - x
+                return (*parts, *(3,) * ((v - w) // 3), *(2,) * twos, *(1,) * (w - 2 * twos))
             rank -= row[m - 1]
             parts.append(m)
             v -= m

@@ -11,6 +11,7 @@ import young
 from young.asymptotics import C
 from young.counting import (
     RestrictedCountTable,
+    _e3,
     _gaussian_coeff,
     coeff_from_product,
     count_partitions,
@@ -270,8 +271,14 @@ def test_largest_part_table_entries():
         assert row == want, v
         assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
     assert table.entry(12, 40) == count_partitions(12)
+    assert table.entry(0, 0) == 1 and table.entry(-1, 5) == 0
     with pytest.raises(ValueError):
         table.entry(61, 3)
+
+
+def test_parts_at_most_three_closed_form():
+    table = RestrictedCountTable.build(910)
+    assert [_e3(w) for w in range(911)] == [table.entry(w, 3) for w in range(911)]
 
 
 def test_table_cache_roundtrip(tmp_path):

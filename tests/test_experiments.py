@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,29 @@ def test_wilf_mc_n2_converges():
 def test_mc_experiments_check_samples_before_the_table(experiment, no_table_build):
     with pytest.raises(ValueError, match="samples"):
         experiment(10, 0, RngStream(1))
+
+
+def test_wilf_mc_calls_the_draw_and_the_check_once_per_sample(monkeypatch):
+    # the traced benchmark times exact draws and Nash-Williams checks by
+    # wrapping these two names, so a faster path must still call each one
+    # once per sample
+    from young import sampling
+
+    calls = Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sampling, "draw_uniform_parts")
+    counted(experiments, "_nash_williams")
+    wilf_fraction_mc(20, 50, RngStream(1))
+    assert calls == {"draw_uniform_parts": 50, "_nash_williams": 50}
 
 
 def test_macdonald_exact_values():

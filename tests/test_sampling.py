@@ -100,6 +100,42 @@ def test_unrank_matches_full_row_reference():
         assert table.unrank(910, rank) == _unrank_by_full_rows(910, rows, rank), rank
 
 
+def test_unrank_tail_matches_full_row_reference():
+    # ranks below entry(910, 3) finish in the closed form for parts <= 3 at
+    # once; around entry(910, 2) and entry(910, 3) its part count steps
+    table = RestrictedCountTable.build(910)
+    rows = [table.row(v) for v in range(911)]
+    twos, threes = table.entry(910, 2), table.entry(910, 3)
+    ranks = {*range(twos + 2000), *range(threes - 2000, threes + 2000)}
+    for rank in sorted(ranks):
+        assert table.unrank(910, rank) == _unrank_by_full_rows(910, rows, rank), rank
+
+
+def test_unrank_refuses_ranks_and_weights_outside_the_table():
+    table = RestrictedCountTable.build(10)
+    p = count_partitions(10)
+    assert table.unrank(10, p - 1) == (10,) and table.unrank(0, 0) == ()
+    for n, rank in [(10, p), (10, 10**40), (10, -1), (0, 1), (11, 0), (-1, 0)]:
+        with pytest.raises(ValueError):
+            table.unrank(n, rank)
+    for v in (11, -1):
+        with pytest.raises(ValueError, match="weight beyond table range"):
+            table.row(v)
+    with pytest.raises(ValueError, match="weight beyond table range"):
+        table.entry(11, 11)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (8192, 16), (2048, 64), (4096, 64),
+                                   (65536, 2)])
+def test_row_accumulate_is_bit_identical(shape):
+    # the column loop makes the same additions (and minima) in the same order
+    # as numpy's accumulate along axis 1
+    x = RngStream(15).generator().standard_normal(shape)
+    for ufunc in (np.add, np.minimum):
+        got = sampling._accumulate_rows(ufunc, x.copy())
+        assert got.tobytes() == ufunc.accumulate(x, axis=1).tobytes()
+
+
 def test_exact_sampler_uniform_chi_square():
     n, draws = 8, 50_000
     cells = count_partitions(n)
