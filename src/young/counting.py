@@ -339,11 +339,9 @@ class RestrictedCountTable:
         v - m with parts at most m.  Rank 0 is all ones and rank p(n) - 1 is (n,).
         A rank outside [0, p(n)), or n outside [0, n_max], raises ValueError.
 
-        Only the row up to m = v//3 is stored.  Where it covers the bound, the
-        part repeats when rank >= entry(v, bound - 1), is bound - 1 when
-        rank >= entry(v, bound - 2), and is found by bisection otherwise.  With
-        x = p(v) - rank, a part m > v/2 is found by one bisection of cum, since
-        there entry(v, m) = p(v) - cum[v - m]: the k with cum[k] < x <= cum[k+1]
+        Only the row up to m = v//3 is stored.  With x = p(v) - rank, a part
+        m > v/2 is found by one bisection of cum, since there
+        entry(v, m) = p(v) - cum[v - m]: the k with cum[k] < x <= cum[k+1]
         gives m = v - k and the new rank cum[k+1] - x.  The rarer part in
         (v/3, v/2] is found by bisecting the closed form over that range.
 
@@ -365,14 +363,8 @@ class RestrictedCountTable:
         while v:
             row = rows[v]
             if 3 * bound <= v:
-                # a repeated part takes the top interval of the row, the part
-                # one below it the interval under that
-                if rank >= row[bound - 1]:
-                    m = bound
-                elif rank >= row[bound - 2]:
-                    m = bound - 1
-                else:
-                    m = bisect_right(row, rank, 1, bound - 2)
+                # a repeated part takes the top interval of the row
+                m = bound if rank >= row[bound - 1] else bisect_right(row, rank, 1, bound)
             else:
                 a = v // 3
                 if rank < row[a]:

@@ -26,9 +26,8 @@ from typing import TYPE_CHECKING, Literal, NamedTuple
 from .asymptotics import C, _float_of, hardy_ramanujan_log
 from .counting import count_partitions, count_restricted
 from .partitions import _conjugate, _dominates, _nash_williams, partitions
-from .sampling import (SURROGATE_CHUNK_VALUES, RngStream, _accumulate_rows,
-                       _require_surrogate_args, exponential_sums, make_sampler,
-                       surrogate_batch)
+from .sampling import (SURROGATE_CHUNK_VALUES, RngStream, _require_surrogate_args,
+                       exponential_sums, make_sampler, surrogate_batch)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -228,8 +227,8 @@ def surrogate_event_pk_curve(n: int, ks, samples: int, rng) -> dict[int, Estimat
         np.log(drift, out=drift)
         np.subtract(drift, np.log(s, out=s), out=drift)
         del s
-        _accumulate_rows(np.add, drift)
-        _accumulate_rows(np.minimum, drift)
+        np.cumsum(drift, axis=1, out=drift)
+        np.minimum.accumulate(drift, axis=1, out=drift)
         hits += np.count_nonzero(drift[:, idx] >= thresh, axis=0)
         del drift
     return {k: _bernoulli_estimate(int(h), samples, rng) for k, h in zip(ks, hits)}

@@ -248,25 +248,6 @@ def slanted_heights(n: int, sums) -> np.ndarray:
     return np.ceil(x - 1e-9).astype(np.int64)
 
 
-# numpy accumulates along axis 1 one row at a time, so a (rows, k) array with
-# rows >= _COLUMN_LOOP_ROWS * k is faster a column at a time: timed on a
-# 2-core x86 VM (numpy 2.4), the column loop was 0.6-0.75x the accumulate at
-# rows = 64k for k = 2, 4 and 16, and 1.3-2x at rows = 16k.
-_COLUMN_LOOP_ROWS = 64
-
-
-def _accumulate_rows(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate(x, axis=1, out=x), bit for bit: a tall x is done by
-    one ufunc call per column, x[:, j] from x[:, j-1], the same operations in
-    the same order."""
-    rows, k = x.shape
-    if rows < _COLUMN_LOOP_ROWS * k:
-        return ufunc.accumulate(x, axis=1, out=x)
-    for j in range(1, k):
-        ufunc(x[:, j - 1], x[:, j], out=x[:, j])
-    return x
-
-
 def _partial_sums(gen: np.random.Generator, count: int, k: int) -> np.ndarray:
     """(count, k) partial sums of unit exponentials, built in the one array drawn."""
     import numpy as np
@@ -276,7 +257,7 @@ def _partial_sums(gen: np.random.Generator, count: int, k: int) -> np.ndarray:
     np.negative(x, out=x)
     np.log1p(x, out=x)
     np.negative(x, out=x)
-    return _accumulate_rows(np.add, x)
+    return np.cumsum(x, axis=1, out=x)
 
 
 def exponential_sums(gen: np.random.Generator, count: int,

@@ -125,17 +125,6 @@ def test_unrank_refuses_ranks_and_weights_outside_the_table():
         table.entry(11, 11)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (8192, 16), (2048, 64), (4096, 64),
-                                   (65536, 2)])
-def test_row_accumulate_is_bit_identical(shape):
-    # the column loop makes the same additions (and minima) in the same order
-    # as numpy's accumulate along axis 1
-    x = RngStream(15).generator().standard_normal(shape)
-    for ufunc in (np.add, np.minimum):
-        got = sampling._accumulate_rows(ufunc, x.copy())
-        assert got.tobytes() == ufunc.accumulate(x, axis=1).tobytes()
-
-
 def test_exact_sampler_uniform_chi_square():
     n, draws = 8, 50_000
     cells = count_partitions(n)
