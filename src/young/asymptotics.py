@@ -6,12 +6,13 @@ partition function grows like e^{pi sqrt(2n/3)}) are returned as logs:
 `lemma1_bound_check`.  The functions that return plain floats,
 `headline_bound` and `rousseau_ali_lower`, return values in (0, 1].  The log
 of an exact big-integer count is `math.log` of it, which does not overflow.
+
+`lemma1_bound_check` sums a head of 1/(2(1-r)) factors plus a Lambert-series tail.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 # Scale of the sqrt(n) law of a random diagram: its largest part is about
@@ -86,12 +87,12 @@ def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     return hardy_ramanujan_log(n) - h - w
 
 
-# Cap on the terms of one truncated Euler-product sum: freiman_lhs, and
-# lemma1_bound_check, which also keeps every power r^k of its sum in a tuple.
-# It bounds the time and memory of one call.  freiman_lhs reaches the cap
-# near Re u = 4.5e-6 and then takes about 4 s (2-core x86 VM); the tuple of
-# lemma1_bound_check holds about 0.3 GB of floats at the cap.  An argument
-# whose tail needs more terms raises ValueError instead of running on.
+# Cap on the terms of one truncated Euler-product sum, which bounds the time
+# of one call.  freiman_lhs sums every term and reaches the cap near
+# Re u = 4.5e-6, where it takes about 4 s (2-core x86 VM).  lemma1_bound_check
+# sums only the head of its truncation term by term, about 1e5 terms at the
+# cap (r = 1 - 4.9e-6), which takes about 0.1 s.  An argument whose tail needs
+# more terms raises ValueError instead of running on.
 EULER_MAX_TERMS = 10**7
 
 
@@ -161,17 +162,33 @@ def _lemma1_terms(r: float) -> int:
     return terms
 
 
-@functools.lru_cache(maxsize=2)
-def _lemma1_r_side(r: float) -> tuple[tuple[float, ...], float]:
-    """The theta-free half of lemma1_bound_check: the powers r^k up to the
-    truncation, and log of the Euler product at r.  Grids hold r fixed over a
-    run of theta, so the last two r are kept."""
-    powers = tuple(r**k for k in range(1, _lemma1_terms(r) + 1))
-    log = math.log
-    log_p_r = 0.0
-    for rk in powers:
-        log_p_r -= log(1.0 - rk)
-    return powers, log_p_r
+def _euler_log_abs(r: float, theta: float) -> float:
+    """log|prod_{k<=K} 1/(1 - q^k)| at q = r e^{i theta}, K = _lemma1_terms(r): the
+    first h = 1/(2(1-r)) factors one by one, the rest from the Lambert identity
+    sum_{k=h+1}^{K} -Log(1 - q^k) = sum_{m>=1} (q^{m(h+1)} - q^{m(K+1)}) / (m (1 - q^m)),
+    cut at the M <= 83 terms that reach |q^{h+1}|^M <= 1e-18 (|q^{h+1}| <= e^{-1/2}),
+    or one by one where M >= K - h.  1 - q^m is -expm1(m log r) +
+    2 r^m sin^2(m theta/2) - i r^m sin(m theta), which does not cancel as r -> 1."""
+    terms = _lemma1_terms(r)
+    log_r = math.log(r)
+    head = int(0.5 / (1.0 - r))
+    tail = math.ceil(math.log(1e-18) / ((head + 1) * log_r))
+    if head + tail >= terms:
+        head, tail = terms, 0
+    lq = complex(log_r, theta)
+    log, exp, expm1, sin, cos = math.log, cmath.exp, math.expm1, math.sin, math.cos
+    total = 0.0
+    for k in range(1, head + 1):
+        total -= log(abs(1.0 - exp(k * lq)))
+    z, w = exp((head + 1) * lq), exp((terms + 1) * lq)
+    zm, wm, lambert = z, w, 0j
+    for m in range(1, tail + 1):
+        rm_less_1 = expm1(m * log_r)
+        s, c = sin(m * theta / 2), cos(m * theta / 2)
+        rm = 1.0 + rm_less_1
+        lambert += (zm - wm) / (m * complex(2.0 * rm * s * s - rm_less_1, -2.0 * rm * s * c))
+        zm, wm = zm * z, wm * w
+    return total + lambert.real
 
 
 def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
@@ -180,18 +197,16 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     Returns (lhs, rhs) with lhs = log|product at re^{i theta}| and
     rhs = log(product at r) - alpha r theta^2 / ((1-r)((1-r)^2 + 2 r alpha theta^2)).
     The inequality lhs <= rhs is what callers assert.  Values are logs because
-    the product itself overflows doubles as r -> 1.  Both sums take each term
-    as log(1 - r^k) rounds it at theta = 0, so there lhs equals rhs exactly.
-    An r whose 1e-16 truncation needs more than EULER_MAX_TERMS terms raises
-    ValueError before any power is built.
+    the product itself overflows doubles as r -> 1.  Both sides come from one
+    kernel, lhs at theta and log(product at r) at theta = 0, so at theta = 0
+    lhs equals rhs exactly.  Against a 40-digit value of the same truncation,
+    lhs errs by at most 1e-15 log(product at r) for r in [0.5, 0.999].  An r
+    whose 1e-16 truncation needs more than EULER_MAX_TERMS terms raises
+    ValueError before any term is summed.
     """
-    powers, log_p_r = _lemma1_r_side(r)
-    log, exp = math.log, cmath.exp
-    log_abs_pq = 0.0
-    for k, rk in enumerate(powers, 1):
-        log_abs_pq -= log(abs(1.0 - rk * exp(1j * k * theta)))
+    lhs = _euler_log_abs(r, theta)
     decay = ALPHA * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * ALPHA * theta**2))
-    return log_abs_pq, log_p_r - decay
+    return lhs, _euler_log_abs(r, 0.0) - decay
 
 
 def headline_bound(n: int, constant: float = 0.11) -> float:

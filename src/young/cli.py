@@ -125,8 +125,11 @@ def cmd_freiman_sweep(args) -> int:
     return 0
 
 
-# the most Euler-product terms one lemma1-grid call sums, about 40 s at 0.37 us
-# a term (2-core x86 VM); the default grid sums at most 17.5 million
+# the most Euler-product terms, points x the truncation at the larger end of
+# r, that one lemma1-grid call may cover; the default grid covers at most 17.5
+# million.  A point sums only the head of its truncation one by one, twice, so
+# a grid at the budget takes about 1 s at r = 0.999 but up to about 150 s at
+# r = 0.05, where a point sums all 13 terms twice (2-core x86 VM).
 LEMMA1_GRID_MAX_TERMS = 10 * asymptotics.EULER_MAX_TERMS
 
 
@@ -136,6 +139,9 @@ def cmd_lemma1_grid(args) -> int:
     # the grid steps divide by both counts as floats
     asymptotics._float_of("--r-count", args.r_count)
     asymptotics._float_of("--theta-count", args.theta_count)
+    for name, end in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not 0.0 < end < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {end!r}")
 
     def radius(i: int) -> float:
         return args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)

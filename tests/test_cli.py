@@ -140,8 +140,8 @@ def test_lemma1_grid_json_holds_no_rows(capsys):
 
 @pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "1144")])
 def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
-    # at r = 0.999 a point sums 43728 terms: 2 x 1144 points pass the budget
-    # of 10^8 terms, and 10^9 points would run for about a day and a half
+    # at r = 0.999 the truncation has 43728 terms: 2 x 1144 points pass the
+    # budget of 10^8 terms, and 10^9 points would run for days
     r_count, theta_count = counts
     code, out, err = run_cli(capsys, "lemma1-grid", "--r-count", r_count,
                              "--theta-count", theta_count, "--format", "json")
@@ -461,6 +461,9 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("wilf", "--n", "41", "--exact"), "even"),
     (("lemma1-grid", "--r-count", "1"), "--r-count"),
     (("lemma1-grid", "--theta-count", "0"), "--theta-count"),
+    (("lemma1-grid", "--r-max", "1.0"), "--r-max must lie in (0, 1)"),
+    (("lemma1-grid", "--r-min", "0"), "--r-min must lie in (0, 1)"),
+    (("lemma1-grid", "--r-min", "nan"), "--r-min must lie in (0, 1)"),
     (("chernoff", "--j", "0", "--d", "0.5", "--samples", "10"), "j must be"),
     (("chernoff", "--j", "0", "--beta", "2", "--samples", "10"), "j must be"),
     (("sample", "--n", "0"), "n must be"),
@@ -502,7 +505,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "tv-mc-k-negative", "sample-count-negative", "sample-boltzmann-count-negative",
         "sample-surrogate-count-negative", "sample-n-negative", "sample-surrogate-n-0",
         "sample-surrogate-k-0", "wilf-exact-beyond-cap", "wilf-exact-odd-n",
-        "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "chernoff-d-j-0",
+        "lemma1-grid-r-count-1", "lemma1-grid-theta-count-0", "lemma1-grid-r-max-1",
+        "lemma1-grid-r-min-0", "lemma1-grid-r-min-nan", "chernoff-d-j-0",
         "chernoff-beta-j-0", "sample-n-0", "pk-n-0", "wilf-exact-n-0", "tv-mc-n-1",
         "bound-constant-negative", "bound-constant-nan", "bound-constant-inf",
         "bound-constant-underflow", "chernoff-beta-nan", "chernoff-beta-inf",
@@ -694,9 +698,10 @@ def test_freiman_sweep_rejects_what_the_truncation_cannot_serve(tmp_path, value,
 
 
 def test_lemma1_grid_rejects_a_truncation_past_the_term_cap(tmp_path):
-    # r = 0.9999999 needs 5.3e8 powers of r, about 17 GB; the child may map
-    # 2 GiB, so a grid that tried to build them fails this test with a
-    # MemoryError instead of exhausting the machine
+    # r = 0.9999999 needs 5.3e8 terms, 53 times the cap, and is refused before
+    # a row is written.  The child may map 2 GiB, so a grid that stored the
+    # terms (5.3e8 floats, about 17 GB) fails this test with a MemoryError
+    # instead of exhausting the machine
     argv = ["lemma1-grid", "--r-min", "0.999", "--r-max", "0.9999999", "--r-count", "2",
             "--theta-count", "2"]
     result = run_python("import resource, sys, young.cli; "
