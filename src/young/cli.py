@@ -115,7 +115,12 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_freiman_sweep(args) -> int:
-    values = [float(x) for x in args.re_values.split(",")]
+    try:
+        values = [float(x) for x in args.re_values.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--re-values: {exc}") from None
+    if not math.isfinite(args.imag_ratio):
+        raise ValueError(f"--imag-ratio must be finite, got {args.imag_ratio!r}")
     rows = []
     for re_u in values:
         u = complex(re_u, args.imag_ratio * re_u)
@@ -125,12 +130,12 @@ def cmd_freiman_sweep(args) -> int:
     return 0
 
 
-# the most Euler-product terms, points x the truncation at the larger end of
-# r, that one lemma1-grid call may cover; the default grid covers at most 17.5
-# million.  A point sums only the head of its truncation one by one, twice, so
-# a grid at the budget takes about 1 s at r = 0.999 but up to about 150 s at
-# r = 0.05, where a point sums all 13 terms twice (2-core x86 VM).
-LEMMA1_GRID_MAX_TERMS = 10 * asymptotics.EULER_MAX_TERMS
+# the most Euler-product terms that one lemma1-grid call may sum.  Each point
+# is charged the head and tail terms of its two kernel calls
+# (`asymptotics._euler_split`) at whichever end of r costs more: 1164 at
+# r = 0.999, 26 at r = 0.05, so the default grid is charged 465600.  A grid
+# at the budget takes 0.3-1.2 s at any r from 0.05 to the cap (2-core x86 VM).
+LEMMA1_GRID_MAX_TERMS = 10**6
 
 
 def cmd_lemma1_grid(args) -> int:
@@ -146,9 +151,13 @@ def cmd_lemma1_grid(args) -> int:
     def radius(i: int) -> float:
         return args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)
 
+    def charge(r: float) -> int:
+        _, head, tail = asymptotics._euler_split(math.log(r), f"r = {r!r}")
+        return 2 * (head + tail)
+
     # the truncation grows with r, so the two ends refuse any grid that would
     # fail part way, or run past its budget, before a row is written
-    terms = max(asymptotics._lemma1_terms(radius(i)) for i in (0, args.r_count - 1))
+    terms = max(charge(radius(i)) for i in (0, args.r_count - 1))
     if args.r_count * args.theta_count * terms > LEMMA1_GRID_MAX_TERMS:
         raise ValueError(f"--r-count x --theta-count = {args.r_count * args.theta_count} points "
                          f"x {terms} terms passes the budget of {LEMMA1_GRID_MAX_TERMS} terms")

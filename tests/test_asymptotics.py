@@ -1,15 +1,19 @@
 import cmath
+import inspect
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import young
+from young import asymptotics
 from young.asymptotics import (
     ALPHA,
     BAND_CONSTANT,
     C,
-    _euler_terms_needed,
-    _lemma1_terms,
+    _euler_split,
     freiman_lhs,
     freiman_main_term,
     freiman_remainder,
@@ -121,13 +125,47 @@ def test_freiman_remainder_near_zero_is_minus_u_over_24(u):
     assert abs(freiman_remainder(u) / u + 1.0 / 24.0) <= 1e-4 / 24.0
 
 
-def test_freiman_lhs_matches_exactly_rounded_sum():
-    # reference: the real and imaginary parts of the same terms summed by fsum
-    u = complex(1e-4, 1e-5)
-    count = _euler_terms_needed(u.real)
-    terms = [cmath.log(1.0 - cmath.exp(-k * u)) for k in range(1, count + 1)]
-    ref = -complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-    assert abs(freiman_lhs(u) - ref) <= 1e-15 * abs(ref)
+def _log_euler_by_eta(u):
+    """log P(e^{-u}) from the Dedekind eta transformation, in 40 digits:
+    pi^2/(6u) + Log(u/2pi)/2 - u/24 + log P(e^{-4 pi^2/u})."""
+    with mpmath.workdps(40):
+        u = mpmath.mpc(u.real, u.imag)
+        dual = -mpmath.log(mpmath.qp(mpmath.exp(-4 * mpmath.pi**2 / u)))
+        return complex(mpmath.pi**2 / (6 * u) + mpmath.log(u / (2 * mpmath.pi)) / 2 - u / 24
+                       + dual)
+
+
+@pytest.mark.parametrize("re_u", [5e-6, 3e-5, 1e-3, 0.025, 0.2, 1.0])
+def test_freiman_lhs_matches_the_eta_transformation(re_u):
+    # budget: 2e-15 of the value.  The largest measured is 8.2e-16, at u = 1
+    # +- 0.1i, where a sum cut at a 1e-14 tail errs 1.1e-14.  Re u = 5e-6
+    # sums 100000 + 83 terms of a 9.8e6-term truncation, near the cap
+    for ratio in (0.0, 0.1, -0.1):
+        u = complex(re_u, ratio * re_u)
+        exact = _log_euler_by_eta(u)
+        assert abs(freiman_lhs(u) - exact) <= 2e-15 * abs(exact), (u, freiman_lhs(u), exact)
+
+
+def test_freiman_lhs_refusal_edge():
+    # the 1e-16 truncation passes EULER_MAX_TERMS at Re u = 4.91e-6; at
+    # 5e-6, where remainder/u is already 1.3e-5 off -1/24 (the rounding of
+    # pi^2/(6u)), the kernel sums a head of 1/(2 Re u) terms and a short tail
+    with pytest.raises(ValueError, match=r"Re u = 4.6e-06 needs 10680613 terms"):
+        freiman_lhs(4.6e-6)
+    assert _euler_split(-5e-6, "Re u") == (9809488, 100000, 83)
+    assert abs(freiman_remainder(5e-6) / 5e-6 + 1.0 / 24.0) <= 1e-3 / 24.0
+
+
+def test_only_the_kernel_sums_the_euler_product_term_by_term():
+    # log P(q) has one code, asymptotics._euler_log: no other function takes
+    # the log of 1 - exp(...) one term at a time
+    kernel = inspect.getsource(asymptotics._euler_log)
+    term = re.compile(r"log\((abs\()?\s*1(\.0)?\s*-\s*[\w.]*exp\(|log1p\(\s*-\s*[\w.]*exp\(")
+    assert term.search(kernel)
+    src = Path(young.__file__).parent
+    summers = sorted(path.name for path in src.glob("*.py")
+                     if term.search(path.read_text().replace(kernel, "")))
+    assert summers == []
 
 
 def test_freiman_main_term_value():
@@ -184,7 +222,7 @@ def _lemma1_by_loop(r, theta):
 
 
 def _lemma1_oracle(r, theta):
-    """-sum_{k<=K} log|1 - q^k| over the K = _lemma1_terms(r) terms of
+    """-sum_{k<=K} log|1 - q^k| over the K = _euler_split(log r)[0] terms of
     lemma1_bound_check, q = r e^{i theta} for the float r and theta.
 
     mpmath rounds q to 160-bit fixed point; q^k runs by integer products,
@@ -194,7 +232,7 @@ def _lemma1_oracle(r, theta):
     43728 steps at r = 0.999; there it matches a direct 40-digit mpmath
     product to 1e-38 and runs about 15 times faster.
     """
-    terms, bits = _lemma1_terms(r), 160
+    terms, bits = _euler_split(math.log(r), "r")[0], 160
     with mpmath.workdps(60):
         q = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(theta))
         a, b = (int(mpmath.nint(part * 2**bits)) for part in (q.real, q.imag))
@@ -215,7 +253,7 @@ def test_lemma1_matches_a_40_digit_oracle():
     # product at r.  Errors scale with log P(r), not with lhs, which can be
     # near 0.  The largest measured is 5.7e-16 log P(r) over this grid, the
     # 20 x 20 grid of criterion 07 and 150 random points with r in
-    # [0.5, 0.999]; relative to lhs, 1.6e-14 here.  The per-term loop errs
+    # [0.5, 0.999]; relative to lhs, 1.7e-14 here.  The per-term loop errs
     # by up to 5.5e-14 log P(r), so the two agree within 1e-13 log P(r).
     for r in (0.5, 0.9, 0.99, 0.999):
         log_p_r = _lemma1_oracle(r, 0.0)

@@ -138,10 +138,11 @@ def test_lemma1_grid_json_holds_no_rows(capsys):
     assert peak < 1 << 20, peak
 
 
-@pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "1144")])
+@pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "430")])
 def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
-    # at r = 0.999 the truncation has 43728 terms: 2 x 1144 points pass the
-    # budget of 10^8 terms, and 10^9 points would run for days
+    # a point at r = 0.999 sums 499 head and 83 tail terms, twice: 2 x 430
+    # points pass the budget of 10^6 terms (2 x 429 do not), and 10^9 points
+    # would run for days
     r_count, theta_count = counts
     code, out, err = run_cli(capsys, "lemma1-grid", "--r-count", r_count,
                              "--theta-count", theta_count, "--format", "json")
@@ -149,7 +150,19 @@ def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and "--r-count" in line and "--theta-count" in line
-    assert "43728 terms" in line and str(LEMMA1_GRID_MAX_TERMS) in line
+    assert "x 1164 terms" in line and str(LEMMA1_GRID_MAX_TERMS) in line
+
+
+def test_lemma1_grid_refuses_a_small_r_grid_past_its_term_budget(tmp_path):
+    # a point at r <= 0.05 sums its 13 terms twice, so 4e6 points are 1.04e8
+    # terms, past the budget.  Charged its truncation once per point, this
+    # grid ran for 83 s, hence the child process with a timeout
+    argv = ["lemma1-grid", "--r-min", "0.04", "--r-max", "0.05", "--r-count", "2000",
+            "--theta-count", "2000", "--format", "json"]
+    result = run_python(f"import sys, young.cli; sys.exit(young.cli.main({argv!r}))", tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert "4000000 points x 26 terms passes the budget" in result.stderr.decode()
 
 
 def test_count_restricted_logs_its_plan(capsys):
@@ -487,6 +500,8 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
     (("tv", "--mc", "--n", "10", "--k", "11"), "k must be at most"),
     (("pk", "--n", "10", "--k", "11"), "k must be at most"),
     (("freiman-sweep", "--imag-ratio", "0.2"), "u outside the wedge"),
+    (("freiman-sweep", "--re-values", "0.1,abc"), "--re-values: could not convert"),
+    (("freiman-sweep", "--imag-ratio", "nan"), "--imag-ratio must be finite"),
     (("sample-surrogate", "--n", str(10**400)), "n too large"),
     (("sample-surrogate", "--n", "10", "--k", str(10**20)), "k must be at most"),
     (("lemma1-grid", "--r-count", str(10**400)), "--r-count too large"),
@@ -513,6 +528,7 @@ def test_tv_exact_stdout_is_unchanged_and_sweep_is_logged(capsys):
         "chernoff-beta-overflow", "asymptotic-n-huge", "asymptotic-restricted-n-huge",
         "tv-n-huge", "rousseau-ali-k-huge", "chernoff-beta-j-huge", "chernoff-d-j-huge",
         "tv-mc-k-above-n", "pk-k-above-n", "freiman-sweep-outside-wedge",
+        "freiman-sweep-re-values-not-float", "freiman-sweep-imag-ratio-nan",
         "sample-surrogate-n-huge", "sample-surrogate-k-above-n", "lemma1-grid-r-count-huge",
         "lemma1-grid-theta-count-huge", "sample-boltzmann-n-huge",
         "sample-boltzmann-n-past-float", "asymptotic-restricted-w-nan", "pk-k-huge",
@@ -682,14 +698,15 @@ def test_exact_calls_start_without_numpy(tmp_path, argv, unloaded):
 
 
 @pytest.mark.parametrize("value, word", [
-    ("1e-9", "needs 52959457167 terms"),
-    ("1e-20", "needs inf terms"),
+    ("1e-9", "Re u = 1e-09 needs 57564627326 terms"),
+    ("1e-310", "Re u = 1e-310 needs inf terms"),
     ("inf", "finite"),
     ("nan", "finite"),
 ], ids=["tiny", "below-rounding", "inf", "nan"])
 def test_freiman_sweep_rejects_what_the_truncation_cannot_serve(tmp_path, value, word):
-    # in a child process with a timeout, so that a sweep summing 5e10 terms
-    # fails the test instead of hanging it
+    # in a child process with a timeout, so that a sweep summing 5.8e10 terms
+    # fails the test instead of hanging it; at 1e-310 the count passes the
+    # float range
     argv = ["freiman-sweep", "--re-values", value]
     result = run_python(f"import sys, young.cli; sys.exit(young.cli.main({argv!r}))", tmp_path)
     assert result.returncode == 2
