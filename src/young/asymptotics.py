@@ -7,9 +7,8 @@ partition function grows like e^{pi sqrt(2n/3)}) are returned as logs:
 `headline_bound` and `rousseau_ali_lower`, return values in (0, 1].  The log
 of an exact big-integer count is `math.log` of it, which does not overflow.
 
-Euler's product P(q) = prod_k 1/(1 - q^k) has one code, `_euler_log`: a head
-of 1/(2(1-|q|)) factors one by one plus a Lambert-series tail.  It has two
-clients, `freiman_lhs` near q = 1 and `lemma1_bound_check` on |q| = r.
+Euler's product P(q) = prod_k 1/(1 - q^k) has one code, `_euler_log`, with two
+clients: `freiman_lhs` near q = 1 and `lemma1_bound_check` on |q| = r.
 """
 
 from __future__ import annotations
@@ -89,23 +88,22 @@ def restricted_asymptotic_log(n: int, h: float, w: float) -> float:
     return hardy_ramanujan_log(n) - h - w
 
 
-# Cap on the terms K of one truncated Euler-product sum (`_euler_split`).  An
-# argument whose 1e-16 truncation needs more raises ValueError instead of
-# running on.  The kernel sums only a head of about 1/(2(1 - r)) terms one by
-# one, about 1e5 at the cap (r = 1 - 4.9e-6, Re u = 4.9e-6), which takes about
-# 0.04 s (2-core x86 VM).
+# Cap on the terms K of one truncated Euler-product sum (`_euler_split`); an
+# argument that needs more raises ValueError.  Only a head of about 1/(1 - r)
+# terms is summed one by one: 2e5 at the cap (r = 1 - 4.9e-6, Re u = 4.9e-6),
+# which takes about 0.05 s (2-core x86 VM).
 EULER_MAX_TERMS = 10**7
+# Most terms M of the Lambert tail: |q^{h+1}| <= 1/e, and e^{-42} < 1e-18.
+EULER_TAIL_TERMS = 42
 
 
 def _euler_split(log_r: float, arg: str) -> tuple[int, int, int]:
     """(K, h, M) for the Euler product at |q| = r = e^{log_r}, log_r < 0.
 
-    K is the 1e-16 truncation: the dropped tail r^{K+1} / (1 - r) is below
-    1e-16.  `_euler_log` sums the first h = 1/(2(1-r)) terms one by one and
-    the rest as M terms of a Lambert series, with |q^{h+1}|^M <= 1e-18 and
-    M <= 83 since |q^{h+1}| <= e^{-1/2}; where M >= K - h it sums all K one
-    by one (h = K, M = 0).  A K past EULER_MAX_TERMS raises ValueError naming
-    arg, the argument that set r.
+    K is the 1e-16 truncation, r^{K+1} / (1 - r) <= 1e-16.  `_euler_log` sums
+    the first h = 1/(1-r) terms one by one and the rest as M terms of a
+    Lambert series, |q^{h+1}|^M <= 1e-18, or all K one by one (h = K, M = 0)
+    where M >= K - h.  A K past EULER_MAX_TERMS raises ValueError naming arg.
     """
     gap = -math.expm1(log_r)  # 1 - r, without cancellation as r -> 1
     bound = (math.log(1e-16) + math.log(gap)) / log_r
@@ -114,7 +112,7 @@ def _euler_split(log_r: float, arg: str) -> tuple[int, int, int]:
         raise ValueError(f"{arg} needs {need} terms for a 1e-16 tail, "
                          f"more than the {EULER_MAX_TERMS} that are summed")
     terms = max(math.ceil(bound), 1)
-    head = int(0.5 / gap)
+    head = int(1.0 / gap)
     tail = math.ceil(math.log(1e-18) / ((head + 1) * log_r))
     if head + tail >= terms:
         return terms, terms, 0
@@ -125,39 +123,39 @@ def _euler_log(log_r: float, theta: float, arg: str) -> complex:
     """sum_{k<=K} -Log(1 - q^k), the log of the Euler product truncated at K
     terms, at q = e^{log_r + i theta}; (K, h, M) = _euler_split(log_r, arg).
 
-    The h head terms are added by math.fsum over their real and imaginary
-    parts, which rounds once however many there are.
-    The rest comes from the Lambert identity
+    The head takes one Log per two factors: Re(1 - q^k) > 0 keeps each Arg in
+    (-pi/2, pi/2), so that Log is the sum of theirs.  The tail is Lambert's
     sum_{k=h+1}^{K} -Log(1 - q^k) = sum_{m>=1} (q^{m(h+1)} - q^{m(K+1)}) / (m (1 - q^m)),
     cut at M terms, with 1 - q^m = -expm1(m log r) + 2 r^m sin^2(m theta/2)
-    - i r^m sin(m theta), which does not cancel as r -> 1.
+    - i r^m sin(m theta), which does not cancel as r -> 1.  One math.fsum per
+    part adds all terms, rounding once; a head of 1/(1-r) terms keeps the
+    first tail term, the most rounded, within e^{-1} / (pi^2/6) of the sum.
     """
     terms, head, tail = _euler_split(log_r, arg)
     lq = complex(log_r, theta)
     log, exp, expm1, sin, cos = cmath.log, cmath.exp, math.expm1, math.sin, math.cos
-    logs = [log(1.0 - exp(k * lq)) for k in range(1, head + 1)]
-    total = complex(math.fsum([z.real for z in logs]), math.fsum([z.imag for z in logs]))
+    parts = [log((1.0 - exp(k * lq)) * (1.0 - exp((k + 1) * lq))) for k in range(1, head, 2)]
+    if head % 2:
+        parts.append(log(1.0 - exp(head * lq)))
     z, w = exp((head + 1) * lq), exp((terms + 1) * lq)
-    zm, wm, lambert = z, w, 0j
+    zm, wm = z, w
     for m in range(1, tail + 1):
         rm_less_1 = expm1(m * log_r)
         s, c = sin(m * theta / 2), cos(m * theta / 2)
         rm = 1.0 + rm_less_1
-        lambert += (zm - wm) / (m * complex(2.0 * rm * s * s - rm_less_1, -2.0 * rm * s * c))
+        parts.append((wm - zm) / (m * complex(2.0 * rm * s * s - rm_less_1, -2.0 * rm * s * c)))
         zm, wm = zm * z, wm * w
-    return lambert - total
+    return -complex(math.fsum([t.real for t in parts]), math.fsum([t.imag for t in parts]))
 
 
 def freiman_lhs(u: complex) -> complex:
-    """log of the Euler product at q = e^{-u}, truncated where the dropped tail
-    is below 1e-16.
+    """log of the Euler product at q = e^{-u}, cut where its tail is below 1e-16.
 
     u must be finite and lie in the wedge Re u > 0, |Im u| <= FREIMAN_WEDGE_RATIO * Re u.
-    The sum is `_euler_log` at log r = -Re u, theta = -Im u, the kernel of
-    `lemma1_bound_check`; a u whose truncation needs more than
-    EULER_MAX_TERMS terms (Re u below about 4.91e-6) raises.  Against the
-    Dedekind eta transformation in 40 digits it errs by at most 8.2e-16 of
-    its value for Re u in [5e-6, 1] and |Im u| in {0, 0.1 Re u}.
+    The sum is `_euler_log` at log r = -Re u, theta = -Im u; Re u below
+    about 4.91e-6 needs more than EULER_MAX_TERMS terms and raises.  Against
+    the Dedekind eta transformation in 40 digits it errs by at most 1.6e-16
+    of its value for Re u in [5e-6, 1] and |Im u| in {0, 0.1 Re u}.
     """
     u = complex(u)
     if not cmath.isfinite(u):
@@ -185,14 +183,12 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
 
     Returns (lhs, rhs) with lhs = log|product at re^{i theta}| and
     rhs = log(product at r) - alpha r theta^2 / ((1-r)((1-r)^2 + 2 r alpha theta^2)).
-    The inequality lhs <= rhs is what callers assert.  Values are logs because
-    the product itself overflows doubles as r -> 1.  Both sides are the real
-    part of one kernel, `_euler_log`, lhs at theta and log(product at r) at
-    theta = 0, so at theta = 0 lhs equals rhs exactly.  Against a 40-digit
-    value of the same truncation, lhs errs by at most 1e-15 log(product at r)
-    for r in [0.5, 0.999].  An r outside (0, 1), or whose 1e-16 truncation
-    needs more than EULER_MAX_TERMS terms, raises ValueError before any term
-    is summed.
+    Callers assert lhs <= rhs; logs, as the product overflows doubles as
+    r -> 1.  Both sides are the real part of one kernel, `_euler_log`, lhs at
+    theta and log(product at r) at theta = 0, so lhs == rhs at theta = 0.
+    Against a 40-digit value of the same truncation, lhs errs by at most
+    1e-15 log(product at r) for r in [0.5, 0.999].  An r outside (0, 1), or
+    past EULER_MAX_TERMS terms, raises ValueError before any term is summed.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
@@ -200,6 +196,14 @@ def lemma1_bound_check(r: float, theta: float) -> tuple[float, float]:
     lhs = _euler_log(log_r, theta, arg).real
     decay = ALPHA * r * theta**2 / ((1.0 - r) * ((1.0 - r) ** 2 + 2.0 * r * ALPHA * theta**2))
     return lhs, _euler_log(log_r, 0.0, arg).real - decay
+
+
+def lemma1_point_terms(r: float) -> int:
+    """Terms that lemma1_bound_check(r, theta) sums, 0 < r < 1, bounded above
+    by 2 min(K, h + EULER_TAIL_TERMS) for (K, h, M) = `_euler_split`.  The
+    exact 2K or 2(h + M) is not monotone in r; the bound grows with r."""
+    terms, head, _ = _euler_split(math.log(r), f"r = {r!r}")
+    return 2 * min(terms, head + EULER_TAIL_TERMS)
 
 
 def headline_bound(n: int, constant: float = 0.11) -> float:

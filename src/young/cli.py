@@ -131,11 +131,11 @@ def cmd_freiman_sweep(args) -> int:
 
 
 # the most Euler-product terms that one lemma1-grid call may sum.  Each point
-# is charged the head and tail terms of its two kernel calls
-# (`asymptotics._euler_split`) at whichever end of r costs more: 1164 at
-# r = 0.999, 26 at r = 0.05, so the default grid is charged 465600.  A grid
-# at the budget takes 0.3-1.2 s at any r from 0.05 to the cap (2-core x86 VM).
-LEMMA1_GRID_MAX_TERMS = 10**6
+# is charged `asymptotics.lemma1_point_terms` at the larger end of r: 2082 at
+# r = 0.999, 26 at r = 0.05, so the default 20 x 20 grid is charged 832800.
+# A call on a grid at the budget takes 0.4-1.7 s at any r from 0.05 to the
+# cap (2-core x86 VM).
+LEMMA1_GRID_MAX_TERMS = 2 * 10**6
 
 
 def cmd_lemma1_grid(args) -> int:
@@ -151,13 +151,9 @@ def cmd_lemma1_grid(args) -> int:
     def radius(i: int) -> float:
         return args.r_min + (args.r_max - args.r_min) * i / (args.r_count - 1)
 
-    def charge(r: float) -> int:
-        _, head, tail = asymptotics._euler_split(math.log(r), f"r = {r!r}")
-        return 2 * (head + tail)
-
-    # the truncation grows with r, so the two ends refuse any grid that would
+    # the charge grows with r, so the two ends refuse any grid that would
     # fail part way, or run past its budget, before a row is written
-    terms = max(charge(radius(i)) for i in (0, args.r_count - 1))
+    terms = max(asymptotics.lemma1_point_terms(radius(i)) for i in (0, args.r_count - 1))
     if args.r_count * args.theta_count * terms > LEMMA1_GRID_MAX_TERMS:
         raise ValueError(f"--r-count x --theta-count = {args.r_count * args.theta_count} points "
                          f"x {terms} terms passes the budget of {LEMMA1_GRID_MAX_TERMS} terms")

@@ -13,6 +13,7 @@ from young.asymptotics import (
     ALPHA,
     BAND_CONSTANT,
     C,
+    EULER_TAIL_TERMS,
     _euler_split,
     freiman_lhs,
     freiman_main_term,
@@ -20,6 +21,7 @@ from young.asymptotics import (
     hardy_ramanujan_log,
     headline_bound,
     lemma1_bound_check,
+    lemma1_point_terms,
     restricted_asymptotic_log,
     rousseau_ali_lower,
     slant_bounds,
@@ -135,37 +137,53 @@ def _log_euler_by_eta(u):
                        + dual)
 
 
-@pytest.mark.parametrize("re_u", [5e-6, 3e-5, 1e-3, 0.025, 0.2, 1.0])
+@pytest.mark.parametrize("re_u", [5e-6, 3e-5, 1e-4, 1e-3, 0.025, 0.2, 1.0])
 def test_freiman_lhs_matches_the_eta_transformation(re_u):
-    # budget: 2e-15 of the value.  The largest measured is 8.2e-16, at u = 1
+    # budget: 1e-15 of the value.  The largest measured is 1.6e-16, at u = 1
     # +- 0.1i, where a sum cut at a 1e-14 tail errs 1.1e-14.  Re u = 5e-6
-    # sums 100000 + 83 terms of a 9.8e6-term truncation, near the cap
+    # sums 200000 + 42 terms of a 9.8e6-term truncation, near the cap
     for ratio in (0.0, 0.1, -0.1):
         u = complex(re_u, ratio * re_u)
         exact = _log_euler_by_eta(u)
-        assert abs(freiman_lhs(u) - exact) <= 2e-15 * abs(exact), (u, freiman_lhs(u), exact)
+        assert abs(freiman_lhs(u) - exact) <= 1e-15 * abs(exact), (u, freiman_lhs(u), exact)
 
 
 def test_freiman_lhs_refusal_edge():
     # the 1e-16 truncation passes EULER_MAX_TERMS at Re u = 4.91e-6; at
     # 5e-6, where remainder/u is already 1.3e-5 off -1/24 (the rounding of
-    # pi^2/(6u)), the kernel sums a head of 1/(2 Re u) terms and a short tail
+    # pi^2/(6u)), the kernel sums a head of 1/Re u terms and a short tail
     with pytest.raises(ValueError, match=r"Re u = 4.6e-06 needs 10680613 terms"):
         freiman_lhs(4.6e-6)
-    assert _euler_split(-5e-6, "Re u") == (9809488, 100000, 83)
+    assert _euler_split(-5e-6, "Re u") == (9809488, 200000, 42)
     assert abs(freiman_remainder(5e-6) / 5e-6 + 1.0 / 24.0) <= 1e-3 / 24.0
 
 
 def test_only_the_kernel_sums_the_euler_product_term_by_term():
     # log P(q) has one code, asymptotics._euler_log: no other function takes
-    # the log of 1 - exp(...) one term at a time
+    # the log of 1 - exp(...), or of a product of such factors, term by term
     kernel = inspect.getsource(asymptotics._euler_log)
-    term = re.compile(r"log\((abs\()?\s*1(\.0)?\s*-\s*[\w.]*exp\(|log1p\(\s*-\s*[\w.]*exp\(")
+    term = re.compile(r"log\(\(?(abs\()?\s*1(\.0)?\s*-\s*[\w.]*exp\(|log1p\(\s*-\s*[\w.]*exp\(")
     assert term.search(kernel)
     src = Path(young.__file__).parent
     summers = sorted(path.name for path in src.glob("*.py")
                      if term.search(path.read_text().replace(kernel, "")))
     assert summers == []
+
+
+def test_lemma1_point_terms_bounds_the_terms_and_grows_with_r():
+    # lemma1-grid charges every point the count at its larger end of r, so
+    # the count must not fall as r grows.  The exact 2 (h + M) does: from 62
+    # just below r = 0.5, where h = 1 and M = 30, to 44 at 0.5, where h = 2
+    # and M = 20
+    rs = [0.01 + (0.99999 - 0.01) * i / 19999 for i in range(20000)] + [0.5 - 1e-12, 0.5]
+    rs.sort()
+    charges = [lemma1_point_terms(r) for r in rs]
+    assert all(a <= b for a, b in zip(charges, charges[1:]))
+    for r, charge in zip(rs, charges):
+        terms, head, tail = _euler_split(math.log(r), "r")
+        assert 2 * (head + tail) <= charge == 2 * min(terms, head + EULER_TAIL_TERMS)
+    assert [2 * sum(_euler_split(math.log(r), "r")[1:]) for r in (0.5 - 1e-12, 0.5)] == [62, 44]
+    assert [lemma1_point_terms(r) for r in (0.05, 0.5 - 1e-12, 0.5, 0.999)] == [26, 86, 88, 2082]
 
 
 def test_freiman_main_term_value():
@@ -251,10 +269,11 @@ def _lemma1_oracle(r, theta):
 def test_lemma1_matches_a_40_digit_oracle():
     # budget: lhs and rhs within 1e-15 log P(r) of the oracle, P(r) the
     # product at r.  Errors scale with log P(r), not with lhs, which can be
-    # near 0.  The largest measured is 5.7e-16 log P(r) over this grid, the
+    # near 0.  The largest measured is 7.3e-16 log P(r) over this grid, the
     # 20 x 20 grid of criterion 07 and 150 random points with r in
-    # [0.5, 0.999]; relative to lhs, 1.7e-14 here.  The per-term loop errs
-    # by up to 5.5e-14 log P(r), so the two agree within 1e-13 log P(r).
+    # [0.5, 0.999], and 1.8e-16 on this grid; relative to lhs, 4.8e-14 here.
+    # The per-term loop errs by up to 5.5e-14 log P(r), so the two agree
+    # within 1e-13 log P(r).
     for r in (0.5, 0.9, 0.99, 0.999):
         log_p_r = _lemma1_oracle(r, 0.0)
         for theta in LEMMA1_GRID + [1e-3, -1e-3, 1e-6, -1e-6]:

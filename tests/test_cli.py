@@ -138,11 +138,11 @@ def test_lemma1_grid_json_holds_no_rows(capsys):
     assert peak < 1 << 20, peak
 
 
-@pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "430")])
+@pytest.mark.parametrize("counts", [("1000000000", "1"), ("2", "481")])
 def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
-    # a point at r = 0.999 sums 499 head and 83 tail terms, twice: 2 x 430
-    # points pass the budget of 10^6 terms (2 x 429 do not), and 10^9 points
-    # would run for days
+    # a point at r = 0.999 sums 999 head and 42 tail terms, twice: 2 x 481
+    # points pass the budget of 2 x 10^6 terms (2 x 480 do not), and 10^9
+    # points would run for days
     r_count, theta_count = counts
     code, out, err = run_cli(capsys, "lemma1-grid", "--r-count", r_count,
                              "--theta-count", theta_count, "--format", "json")
@@ -150,13 +150,13 @@ def test_lemma1_grid_refuses_a_grid_past_its_term_budget(capsys, counts):
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and "--r-count" in line and "--theta-count" in line
-    assert "x 1164 terms" in line and str(LEMMA1_GRID_MAX_TERMS) in line
+    assert "x 2082 terms" in line and str(LEMMA1_GRID_MAX_TERMS) in line
 
 
 def test_lemma1_grid_refuses_a_small_r_grid_past_its_term_budget(tmp_path):
     # a point at r <= 0.05 sums its 13 terms twice, so 4e6 points are 1.04e8
-    # terms, past the budget.  Charged its truncation once per point, this
-    # grid ran for 83 s, hence the child process with a timeout
+    # terms, past the budget of 2e6.  Charged its truncation once per point,
+    # this grid ran for 83 s, hence the child process with a timeout
     argv = ["lemma1-grid", "--r-min", "0.04", "--r-max", "0.05", "--r-count", "2000",
             "--theta-count", "2000", "--format", "json"]
     result = run_python(f"import sys, young.cli; sys.exit(young.cli.main({argv!r}))", tmp_path)
